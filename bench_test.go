@@ -293,11 +293,15 @@ func BenchmarkStageTrafficDay(b *testing.B) {
 	}
 }
 
-// BenchmarkStageTrafficWeek measures the full single-pass sharded
-// simulate→aggregate pipeline over the study week: line-major workers,
-// per-line scanner classification, and the shard merge — everything
-// TrafficStudy does after the backend index exists. Compare against
-// 2 × StageTrafficDay × days to see the second pass gone.
+// BenchmarkStageTrafficWeek measures memory mode's single-pass
+// simulate→aggregate pipeline over the study week
+// (flows.SimulatePartials): line-major workers, each line-week crossing
+// the record edge (AppendRecords) into one RecordBatch that the
+// worker's ShardPartial classifies and folds through IngestBatch, then
+// the shard merge — everything TrafficStudy does after the backend
+// index exists. It runs the same IngestBatch as StageWireWeek without
+// the export, pipe and decode. Compare against 2 × StageTrafficDay ×
+// days to see the second pass gone.
 func BenchmarkStageTrafficWeek(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 5, Scale: 0.05})
 	if err != nil {
@@ -314,15 +318,10 @@ func BenchmarkStageTrafficWeek(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := flows.NewShardedAggregator(idx, w.Days, flows.Options{
+		cc, col := flows.MergePartials(flows.SimulatePartials(net, idx, w.Days, flows.Options{
 			ScannerThreshold: 100,
 			SamplingRate:     100,
-		}, runtime.GOMAXPROCS(0))
-		net.SimulateLines(agg.Shards(),
-			func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-			func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-		)
-		cc, col := agg.Merge()
+		}, runtime.GOMAXPROCS(0)))
 		if len(cc.Scanners(100)) == 0 {
 			b.Fatal("no scanners classified")
 		}
@@ -477,19 +476,26 @@ func BenchmarkWindowSteadyState(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		tables := win.NewWireTables()
+		var batch netflow.RecordBatch
 		buf := make([]netflow.Record, 0, 2048)
+		flush := func() {
+			tables.AppendRecords(&batch, buf, days[0])
+			win.IngestBatch(tables, &batch)
+			batch.Reset()
+			buf = buf[:0]
+		}
 		sink := func(r netflow.Record) {
 			buf = append(buf, r)
 			if len(buf) == cap(buf) {
-				win.IngestFlush(buf)
-				buf = buf[:0]
+				flush()
 			}
 		}
 		for day := range days {
 			net.SimulateDay(day, sink)
 		}
 		if len(buf) > 0 {
-			win.IngestFlush(buf)
+			flush()
 		}
 		st := win.Stats()
 		if st.EvictedHours == 0 {
@@ -602,18 +608,11 @@ func BenchmarkStageFederation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var parts []*flows.ShardPartial
 		for _, v := range vantages {
-			agg := flows.NewShardedAggregator(idx, w.Days, flows.Options{
+			parts = append(parts, flows.SimulatePartials(v.net, idx, w.Days, flows.Options{
 				ScannerThreshold: 100,
 				SamplingRate:     v.net.Cfg.SamplingRate,
 				Vantage:          v.name,
-			}, runtime.GOMAXPROCS(0))
-			v.net.SimulateLines(agg.Shards(),
-				func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-				func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-			)
-			for k := 0; k < agg.Shards(); k++ {
-				parts = append(parts, agg.Shard(k))
-			}
+			}, runtime.GOMAXPROCS(0))...)
 		}
 		fed := flows.FederatedMerge(parts)
 		cov := fed.Coverage()
@@ -667,20 +666,11 @@ func BenchmarkStageFederationParallel(b *testing.B) {
 			wg.Add(1)
 			go func(vi int, v vantage) {
 				defer wg.Done()
-				agg := flows.NewShardedAggregator(idx, w.Days, flows.Options{
+				partsPer[vi] = flows.SimulatePartials(v.net, idx, w.Days, flows.Options{
 					ScannerThreshold: 100,
 					SamplingRate:     v.net.Cfg.SamplingRate,
 					Vantage:          v.name,
 				}, runtime.GOMAXPROCS(0))
-				v.net.SimulateLines(agg.Shards(),
-					func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-					func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-				)
-				parts := make([]*flows.ShardPartial, agg.Shards())
-				for k := range parts {
-					parts[k] = agg.Shard(k)
-				}
-				partsPer[vi] = parts
 			}(vi, v)
 		}
 		wg.Wait()

@@ -80,7 +80,7 @@ type Config struct {
 	// Days is the study period (required).
 	Days []time.Time
 	// Opts configures the analysis exactly like the in-memory pipeline's
-	// NewShardedAggregator. Opts.SamplingRate is the *fallback* scale,
+	// flows.SimulatePartials. Opts.SamplingRate is the *fallback* scale,
 	// applied to any line batch flushed before the stream's first v5
 	// header (e.g. an IPv6-only prefix, or a wholly v6 stream); once a
 	// header advertises a rate it wins for the rest of the stream, and a
@@ -309,8 +309,13 @@ type stream struct {
 	// rate is the stream's advertised sampling rate (0 = none seen yet).
 	rate    uint32
 	sampler *netflow.Sampler
-	buf     []netflow.Record
-	stats   Stats
+	// buf holds the flush interval's v5/v6/v9/IPFIX records until flush
+	// scales them and hands them to the sink through recTables (created
+	// on the first record flush, never checkpointed) and recBatch.
+	buf       []netflow.Record
+	recTables *flows.WireTables
+	recBatch  netflow.RecordBatch
+	stats     Stats
 	// live marks a ServeUDP stream, whose datagram counters already
 	// folded into the collector totals as they arrived; finish must not
 	// add them twice.
@@ -500,17 +505,16 @@ func (st *stream) ingestV5(h netflow.V5Header, recs []netflow.Record) {
 	st.buf = append(st.buf, recs...)
 }
 
-// flush completes the buffered line batch in the stream's sink (the
-// scanner-classification point). Columnar rows fold through IngestBatch
-// (already rebased and scaled at decode); legacy record-path rows are
-// scaled here and fold through IngestFlush.
+// flush completes the buffered flush interval in the stream's sink (the
+// scanner-classification point). Columnar rows are already rebased and
+// scaled at decode; records are scaled here and cross into rows of the
+// stream's record-fed tables. Both fold through IngestBatch.
 func (st *stream) flush(fallbackRate uint32) {
 	if st.batch.Len() > 0 {
 		st.sink.IngestBatch(st.tables, &st.batch)
 		st.batch.Reset()
 	}
 	if len(st.buf) == 0 {
-		st.sink.IngestFlush(nil)
 		return
 	}
 	rate := st.rate
@@ -529,7 +533,12 @@ func (st *stream) flush(fallbackRate uint32) {
 		st.buf[i].Packets = st.sampler.Scale(st.buf[i].Packets)
 		st.stats.ScaledBytes += st.buf[i].Bytes
 	}
-	st.sink.IngestFlush(st.buf)
+	if st.recTables == nil {
+		st.recTables = st.sink.NewWireTables()
+	}
+	st.recTables.AppendRecords(&st.recBatch, st.buf, st.start)
+	st.sink.IngestBatch(st.recTables, &st.recBatch)
+	st.recBatch.Reset()
 	st.buf = st.buf[:0]
 }
 
@@ -771,7 +780,7 @@ func syncFams(fams []bool, base int, addrs []netip.Addr) []bool {
 // from the exporter's epoch to study hours (negative = outside the
 // study window), counters scale back to estimates, and the wire/
 // liveness counters fold as the rows stream past. The actual analysis
-// fold (IngestBatch) happens at the flush boundary, like EndLine.
+// fold (IngestBatch) happens at the flush boundary.
 func (st *stream) batchFrame(f netflow.Frame) error {
 	if st.tables == nil {
 		return fmt.Errorf("%w: batch frame before hello", netflow.ErrBadPayload)
@@ -860,6 +869,7 @@ func (c *Collector) quarantine(st *stream, raw io.Reader) error {
 	st.buf = nil
 	st.batch.Reset()
 	st.tables = nil
+	st.recTables = nil
 	for i := range st.hourBits {
 		st.hourBits[i] = 0
 	}

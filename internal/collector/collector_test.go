@@ -46,12 +46,7 @@ func buildFixture(t testing.TB, lines int) *fixture {
 
 // memoryRun is the in-memory reference pipeline.
 func (f *fixture) memoryRun(shards int) (*flows.ContactCounter, *flows.Collector) {
-	agg := flows.NewShardedAggregator(f.idx, f.w.Days, f.opts, shards)
-	f.net.SimulateLines(agg.Shards(),
-		func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-		func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-	)
-	return agg.Merge()
+	return flows.MergePartials(flows.SimulatePartials(f.net, f.idx, f.w.Days, f.opts, shards))
 }
 
 // wireRun exports over in-memory pipes into a collector.

@@ -2,6 +2,8 @@ package collector
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"testing"
 
@@ -73,6 +75,26 @@ func TestWindowModeMatchesBatchWire(t *testing.T) {
 			if col.Partials() != nil {
 				t.Fatal("window mode handed over partials")
 			}
+		}
+	}
+}
+
+// TestWindowV5SnapshotPinned: a v5 feed folded into a window-mode
+// collector checkpoints to pinned IWIN bytes at any stream count and
+// under any GOMAXPROCS, so how records reach the window cannot change
+// what a checkpoint holds.
+func TestWindowV5SnapshotPinned(t *testing.T) {
+	const want = "c395e63afccf7d84251a66c7e6ed182eee4fd0758dafb02b53ea0d36e5154894"
+	for _, streams := range []int{1, 3} {
+		f := buildFixture(t, 400)
+		_, _, col := f.windowRun(t, streams, isp.WireV5)
+		var buf bytes.Buffer
+		if err := flows.Snapshot(&buf, col.cfg.Window); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("streams=%d: IWIN snapshot sha256 %s, want %s", streams, got, want)
 		}
 	}
 }

@@ -3,19 +3,23 @@ package flows
 import (
 	"fmt"
 	"net/netip"
+	"time"
 
 	"iotmap/internal/netflow"
 	"iotmap/internal/proto"
 )
 
-// Columnar wire ingest: the dictionary-negotiating wire format ships
+// Columnar ingest: the dictionary-negotiating wire format ships
 // addresses once (dictionary frames) and dense uint32 IDs thereafter
 // (batch frames), so the collector's hot loop never materializes a
 // netip.Addr. WireTables is the per-stream receiver state — the
 // line/backend dictionaries resolved against this partial's index and
-// collector — and ShardPartial.IngestBatch is the batch counterpart of
-// the Ingest/EndLine pair: one call folds a whole flush interval's
-// RecordBatch with strided slice/bitset updates.
+// collector — and IngestBatch is the only way rows reach either
+// aggregation layout: one call folds a whole flush interval's
+// RecordBatch with strided slice/bitset updates. Record feeds (the
+// memory-mode simulation, NetFlow v5/v6/v9/IPFIX) cross into the same
+// path at one edge, AppendRecords, which turns a flush of records into
+// rows of record-fed tables.
 
 // maxWireDictEntries bounds a stream's dictionary size. The address
 // plan tops out at 2^22 lines per vantage; the slack above that guards
@@ -58,6 +62,9 @@ type WireTables struct {
 	shard    *winShard
 	lines    []wireLineEnt
 	backends []int32 // dense backend ID, unknownBackend, or lostBackend
+	// recLines interns record-fed line addresses to line-dictionary IDs
+	// (AppendRecords); nil for tables fed by dictionary frames.
+	recLines *lineTab
 	// entSlot/touched scratch one IngestBatch call's per-line ent
 	// assignment (index+1 into the sink's recycled ents; 0 = none).
 	entSlot []int32
@@ -129,6 +136,52 @@ func (t *WireTables) AddBackends(base uint32, addrs []netip.Addr) error {
 	return nil
 }
 
+// AppendRecords is the record edge of the columnar path: it appends one
+// flush interval's records to b as rows of t, so a record feed folds
+// through the sink's IngestBatch exactly like a dictionary feed. Each
+// record is classified with lineSide, its line address is interned into
+// t's line dictionary, its backend becomes its dense ID (record-fed
+// tables carry the identity backend dictionary), and its start floors
+// to a whole hour relative to epoch (negative before it). Bytes and
+// Packets are copied as they are. Records with no backend side are
+// skipped, as IngestBatch would skip them.
+//
+// Record-fed tables take no dictionary frames: their line IDs are
+// AppendRecords' own. They only grow, so one tables value and one batch
+// (Reset between flushes) serve a stream for its whole life.
+func (t *WireTables) AppendRecords(b *netflow.RecordBatch, recs []netflow.Record, epoch time.Time) {
+	if t.recLines == nil {
+		t.recLines = &lineTab{}
+		t.backends = make([]int32, len(t.idx.addrs))
+		for i := range t.backends {
+			t.backends[i] = int32(i)
+		}
+	}
+	for _, r := range recs {
+		line, backendID, down, ok := t.idx.lineSide(r)
+		if !ok {
+			continue
+		}
+		li := t.recLines.id(line)
+		if int(li) == len(t.lines) {
+			_, excluded := t.excluded[line]
+			t.lines = append(t.lines, wireLineEnt{addr: line, ccID: -1, colID: -1, excluded: excluded, valid: true})
+		}
+		// The backend-side port identifies the service.
+		port := r.DstPort
+		if down {
+			port = r.SrcPort
+		}
+		since := r.Start.Sub(epoch)
+		hour := since / time.Hour
+		if since%time.Hour < 0 {
+			hour--
+		}
+		b.Append(uint32(li), uint32(backendID), down, int32(hour), port, r.Proto, r.Bytes, r.Packets)
+	}
+	t.entSlot = grown(t.entSlot, len(t.lines))
+}
+
 // Validate checks rows [from, b.Len()) against the dictionaries: every
 // line ID must name a valid (non-lost) entry and every backend ID an
 // existing entry that is not lost. Unknown (unindexed) backends pass —
@@ -149,76 +202,44 @@ func (t *WireTables) Validate(b *netflow.RecordBatch, from int) error {
 	return nil
 }
 
-// IngestBatch folds one flush interval's validated RecordBatch into the
-// partial — the batch counterpart of Ingest-per-record plus EndLine.
-// Rows must have passed t.Validate; Hour is in study hours (negative =
-// before the study window) and Bytes/Packets are already scaled.
+// IngestBatch implements Sink: it folds one flush interval's RecordBatch
+// into the partial. Rows come from t.Validate (a wire stream) or
+// t.AppendRecords (a record feed); Hour is in study hours (negative =
+// before the study window).
 //
-// Semantics match the record path exactly: every row with an indexed
-// backend contributes contact evidence (Figure 5 counts scanners'
-// contacts too), per-line exclusion applies at flush granularity with
-// this batch's distinct-backend evidence, and only rows from kept,
-// non-excluded lines with in-window hours reach the Collector.
+// Every row with an indexed backend contributes contact evidence
+// (Figure 5 counts scanners' contacts too), per-line exclusion applies
+// at flush granularity with this batch's distinct-backend evidence, and
+// only rows from kept, non-excluded lines with in-window hours reach the
+// Collector. Flushed once per line-week, this equals the two-pass
+// reference over the same feed: a ContactCounter, then a Collector with
+// the counter's scanners in Options.Excluded.
 func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
-	n := b.Len()
-	if n == 0 {
+	if b.Len() == 0 {
 		return
 	}
-	words := p.idx.words
-	ents := p.ents[:0]
+	ents := t.classify(b, p.ents, p.threshold)
+	p.ents = ents
 
-	// Pass 1: per-line contact evidence for this flush interval.
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
-		if be < 0 {
-			continue
-		}
-		li := b.Line[i]
-		e := t.entSlot[li]
-		if e == 0 {
-			if cap(ents) > len(ents) {
-				ents = ents[:len(ents)+1]
-				ent := &ents[len(ents)-1]
-				ent.addr = t.lines[li].addr
-				if len(ent.bits) != words {
-					ent.bits = make([]uint64, words)
-				} else {
-					clearBits(ent.bits)
-				}
-			} else {
-				ents = append(ents, endEnt{addr: t.lines[li].addr, bits: make([]uint64, words)})
-			}
-			e = int32(len(ents))
-			t.entSlot[li] = e
-			t.touched = append(t.touched, int32(li))
-		}
-		setBit(ents[e-1].bits, int(be))
-	}
-
-	// Classify each touched line against the scanner threshold and fold
-	// its evidence into the shard's ContactCounter.
+	// Every touched line's evidence folds into the ContactCounter,
+	// scanner or not.
 	for _, li := range t.touched {
-		ent := &ents[t.entSlot[li]-1]
 		ln := &t.lines[li]
 		if ln.ccID < 0 {
 			ln.ccID = p.cc.lineID(ln.addr)
 		}
-		orBits(p.cc.bits[int(ln.ccID)*p.cc.words:(int(ln.ccID)+1)*p.cc.words], ent.bits)
-		ent.over = popcount(ent.bits) > p.threshold
+		orBits(p.cc.bits[int(ln.ccID)*p.cc.words:(int(ln.ccID)+1)*p.cc.words], ents[t.entSlot[li]-1].bits)
 	}
 
-	// Pass 2: fold kept rows into the Collector.
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
+	// Kept rows fold into the Collector.
+	for i, bi := range b.Backend {
+		be := t.backends[bi]
 		if be < 0 {
 			continue
 		}
 		li := b.Line[i]
-		if ents[t.entSlot[li]-1].over {
-			continue
-		}
 		ln := &t.lines[li]
-		if ln.excluded {
+		if ents[t.entSlot[li]-1].over || ln.excluded {
 			continue
 		}
 		h := int(b.Hour[i])
@@ -234,10 +255,63 @@ func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		}
 		p.col.ingestDense(int(ln.colID), be, b.Down[i], h, port, float64(b.Bytes[i])*p.col.rate)
 	}
+	t.endClassify()
+}
 
+// endEnt is one line's per-flush contact evidence.
+type endEnt struct {
+	bits []uint64
+	over bool
+}
+
+// classify is the scanner classification both aggregation layouts
+// share. Every row of b with an indexed backend sets that backend's bit
+// in its line's entry — one entry per distinct line, recycling ents'
+// bitsets, with t.touched listing the lines in first-row order and
+// t.entSlot mapping each to its entry+1 — and each entry is judged a
+// scanner when this flush's distinct-backend count exceeds threshold.
+// Release the slots with endClassify once the flush is folded.
+func (t *WireTables) classify(b *netflow.RecordBatch, ents []endEnt, threshold int) []endEnt {
+	words := t.idx.words
+	ents = ents[:0]
+	for i, bi := range b.Backend {
+		be := t.backends[bi]
+		if be < 0 {
+			continue
+		}
+		li := b.Line[i]
+		if t.entSlot[li] == 0 {
+			ents = appendEnt(ents, words)
+			t.entSlot[li] = int32(len(ents))
+			t.touched = append(t.touched, int32(li))
+		}
+		setBit(ents[t.entSlot[li]-1].bits, int(be))
+	}
+	for _, li := range t.touched {
+		ent := &ents[t.entSlot[li]-1]
+		ent.over = popcount(ent.bits) > threshold
+	}
+	return ents
+}
+
+// appendEnt reuses (or allocates) the next per-flush line entry.
+func appendEnt(ents []endEnt, words int) []endEnt {
+	if cap(ents) > len(ents) {
+		ents = ents[:len(ents)+1]
+		if ent := &ents[len(ents)-1]; len(ent.bits) != words {
+			ent.bits = make([]uint64, words)
+		} else {
+			clearBits(ent.bits)
+		}
+		return ents
+	}
+	return append(ents, endEnt{bits: make([]uint64, words)})
+}
+
+// endClassify releases the per-line entry slots classify assigned.
+func (t *WireTables) endClassify() {
 	for _, li := range t.touched {
 		t.entSlot[li] = 0
 	}
 	t.touched = t.touched[:0]
-	p.ents = ents
 }

@@ -7,7 +7,6 @@ import (
 
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
-	"iotmap/internal/netflow"
 	"iotmap/internal/world"
 )
 
@@ -40,20 +39,13 @@ func fedParts(t *testing.T, nets map[string]*isp.Network, idx *BackendIndex, w *
 	var parts []*ShardPartial
 	for _, name := range []string{"isp-a", "isp-b", "ixp"} {
 		net := nets[name]
-		agg := NewShardedAggregator(idx, w.Days, Options{
+		parts = append(parts, SimulatePartials(net, idx, w.Days, Options{
 			ScannerThreshold: 100,
 			SamplingRate:     net.Cfg.SamplingRate,
 			FocusAlias:       "T1",
 			FocusRegion:      "us-east-1",
 			Vantage:          name,
-		}, shardsPer)
-		net.SimulateLines(agg.Shards(),
-			func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-			func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-		)
-		for i := 0; i < agg.Shards(); i++ {
-			parts = append(parts, agg.Shard(i))
-		}
+		}, shardsPer)...)
 	}
 	return parts
 }
@@ -220,22 +212,13 @@ func TestFederatedCoverageInvariants(t *testing.T) {
 // same Study, and a union identical to the one vantage.
 func TestFederatedSingleVantageTransparent(t *testing.T) {
 	w, pipeStudy, pipeCC := buildStudy(t)
-	agg := NewShardedAggregator(cachedIdx, w.Days, Options{
+	fed := FederatedMerge(SimulatePartials(cachedNet, cachedIdx, w.Days, Options{
 		ScannerThreshold: 100,
 		SamplingRate:     cachedNet.Cfg.SamplingRate,
 		FocusAlias:       "T1",
 		FocusRegion:      "us-east-1",
 		Vantage:          "solo",
-	}, testShards)
-	cachedNet.SimulateLines(agg.Shards(),
-		func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-		func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-	)
-	parts := make([]*ShardPartial, agg.Shards())
-	for i := range parts {
-		parts[i] = agg.Shard(i)
-	}
-	fed := FederatedMerge(parts)
+	}, testShards))
 	if fmt.Sprint(fed.Names) != "[solo]" {
 		t.Fatalf("names = %v", fed.Names)
 	}

@@ -2,7 +2,7 @@
 // outage view of Section 6.1 over a single pass of the sampled NetFlow
 // feed. Scanner identification (Figure 5, following Richter et al.) is a
 // per-line property — the distinct-backend count of one subscriber
-// address over the week — so the sharded pipeline (ShardedAggregator)
+// address over the week — so the sharded pipeline (SimulatePartials)
 // classifies each line the moment its week completes and folds only
 // non-scanner contributions into the full aggregation, which produces
 // backend visibility (Figure 6), TLS-only detectability (Figure 7),
@@ -415,7 +415,7 @@ type linePortKey struct {
 	port proto.PortKey
 }
 
-// Options tune a Collector (and the ShardedAggregator wrapping one).
+// Options tune a Collector (and the ShardPartial or Window wrapping one).
 type Options struct {
 	// Excluded lines: scanner addresses found by a prior ContactCounter
 	// pass. The single-pass pipeline classifies lines on the fly instead
@@ -423,7 +423,7 @@ type Options struct {
 	Excluded map[netip.Addr]struct{}
 	// ScannerThreshold is the distinct-backend count above which the
 	// pipeline excludes a line address (Figure 5's x-axis). Only read by
-	// NewShardedAggregator; zero or negative disables on-the-fly
+	// NewShardPartial and NewWindow; zero or negative disables on-the-fly
 	// classification (no line is excluded), matching the zero value's
 	// meaning under the legacy Excluded-set drive.
 	ScannerThreshold int
@@ -518,13 +518,39 @@ func contBit(c geo.Continent) uint8 {
 	}
 }
 
-// Ingest processes one sampled record.
+// Ingest processes one sampled record — the second pass of the
+// two-pass reference the single-pass pipeline is checked against.
 func (c *Collector) Ingest(r netflow.Record) {
-	line, backendID, down, ok := c.idx.lineSide(r)
+	lineAddr, backendID, down, ok := c.idx.lineSide(r)
 	if !ok {
 		return
 	}
-	c.ingestClassified(r, line, backendID, down)
+	if _, skip := c.excluded[lineAddr]; skip {
+		return
+	}
+	// Integer nanosecond division: the old float64 Hours() path could
+	// round a record sitting nanoseconds before a bucket edge up into
+	// the next hour. Pre-study records are rejected before dividing —
+	// truncation toward zero would otherwise bucket the final sub-hour
+	// window before days[0] into hour 0.
+	sinceStart := r.Start.Sub(c.days[0])
+	if sinceStart < 0 {
+		return
+	}
+	hour := int(sinceStart / time.Hour)
+	if hour >= c.hours {
+		return
+	}
+	// Port mix: the backend-side port identifies the service.
+	port := proto.PortKey{Port: r.SrcPort}
+	if !down {
+		port = proto.PortKey{Port: r.DstPort}
+	}
+	if r.Proto == netflow.ProtoUDP {
+		port.Transport = proto.UDP
+	}
+	line := int(c.lineID(lineAddr))
+	c.ingestDense(line, backendID, down, hour, port, float64(r.Bytes)*c.rate)
 }
 
 // laSlotBase finds or creates the lineAliasDaily slot for (line, alias)
@@ -559,42 +585,10 @@ func (c *Collector) lpSlotBase(line, port int) int {
 	return (int(slot) - 1) * c.ds
 }
 
-// ingestClassified is Ingest after endpoint classification — the
-// pipeline's ShardPartial calls it directly with the classification it
-// already computed for scanner exclusion.
-func (c *Collector) ingestClassified(r netflow.Record, lineAddr netip.Addr, backendID int32, down bool) {
-	if _, skip := c.excluded[lineAddr]; skip {
-		return
-	}
-	// Integer nanosecond division: the old float64 Hours() path could
-	// round a record sitting nanoseconds before a bucket edge up into
-	// the next hour. Pre-study records are rejected before dividing —
-	// truncation toward zero would otherwise bucket the final sub-hour
-	// window before days[0] into hour 0.
-	sinceStart := r.Start.Sub(c.days[0])
-	if sinceStart < 0 {
-		return
-	}
-	hour := int(sinceStart / time.Hour)
-	if hour >= c.hours {
-		return
-	}
-	// Port mix: the backend-side port identifies the service.
-	port := proto.PortKey{Port: r.SrcPort}
-	if !down {
-		port = proto.PortKey{Port: r.DstPort}
-	}
-	if r.Proto == netflow.ProtoUDP {
-		port.Transport = proto.UDP
-	}
-	line := int(c.lineID(lineAddr))
-	c.ingestDense(line, backendID, down, hour, port, float64(r.Bytes)*c.rate)
-}
-
 // ingestDense is the fully resolved ingest core: line already interned,
-// hour already in-window, bytes already scaled. Both the record path
-// (ingestClassified) and the columnar wire path (ShardPartial.
-// IngestBatch) land here, so the two produce byte-identical aggregates.
+// hour already in-window, bytes already scaled. Both the two-pass
+// reference (Ingest) and the pipeline (ShardPartial.IngestBatch) land
+// here, so the two produce byte-identical aggregates.
 func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
 	setBit(c.coverBits, hour)
 	day := hour / 24

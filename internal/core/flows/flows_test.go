@@ -49,17 +49,12 @@ func buildStudy(t *testing.T) (*world.World, *Study, *ContactCounter) {
 
 // runPipeline drives the single-pass pipeline with a fixed shard count.
 func runPipeline(net *isp.Network, idx *BackendIndex, w *world.World, shards int) (*ContactCounter, *Collector) {
-	agg := NewShardedAggregator(idx, w.Days, Options{
+	return MergePartials(SimulatePartials(net, idx, w.Days, Options{
 		ScannerThreshold: 100,
 		SamplingRate:     net.Cfg.SamplingRate,
 		FocusAlias:       "T1",
 		FocusRegion:      "us-east-1",
-	}, shards)
-	net.SimulateLines(agg.Shards(),
-		func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-		func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-	)
-	return agg.Merge()
+	}, shards))
 }
 
 func TestScannerCurveShape(t *testing.T) {

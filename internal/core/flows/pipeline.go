@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"iotmap/internal/analysis"
+	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 )
 
@@ -281,56 +282,31 @@ func cloneSeriesSlice(s []*analysis.Series) []*analysis.Series {
 	return out
 }
 
-// ShardPartial is the aggregation half of one simulation worker in the
-// single-pass pipeline: it buffers the line currently being simulated
-// (one line-week, a few hundred records — never the whole feed), and on
-// EndLine classifies each of the line's addresses against the scanner
-// threshold, folds the contact bitsets into the shard's ContactCounter,
-// and forwards only non-scanner addresses' records into the shard's
-// Collector. A partial is owned by exactly one worker; no locking.
+// ShardPartial is the aggregation half of one worker or wire stream:
+// each IngestBatch call is one flush interval (in memory mode, one
+// line-week), whose lines it classifies against the scanner threshold,
+// folding the contact evidence into the shard's ContactCounter and only
+// non-scanner rows into the shard's Collector. A partial is owned by
+// exactly one worker; no locking.
 type ShardPartial struct {
 	// Vantage is the vantage-point label the partial's records were
 	// observed at (Options.Vantage); FederatedMerge groups partials by
-	// it. All partials of one ShardedAggregator share one vantage.
+	// it.
 	Vantage string
 
 	idx       *BackendIndex
 	threshold int
 	cc        *ContactCounter
 	col       *Collector
-	buf       []netflow.Record
-	// sides caches each buffered record's endpoint classification
-	// (entry < 0 for non-backend records), so the whole EndLine flow —
-	// contact counting, exclusion, Collector ingest — probes the index
-	// once per record.
-	sides []recSide
-	// ents/entOf are the per-EndLine line entries (usually one V4 and
-	// maybe one V6 address per flushed line); their bitsets are recycled
-	// across EndLine calls.
-	ents  []endEnt
-	entOf map[netip.Addr]int32
+	// ents are one flush's line entries; their bitsets are recycled
+	// across IngestBatch calls.
+	ents []endEnt
 }
 
-// recSide is one buffered record's cached classification.
-type recSide struct {
-	backendID int32
-	entry     int32
-	down      bool
-}
-
-// endEnt is one line address's per-EndLine contact evidence.
-type endEnt struct {
-	addr netip.Addr
-	bits []uint64
-	over bool
-}
-
-// NewShardPartial builds one worker-local partial over idx — exactly
-// the unit NewShardedAggregator allocates per shard, exported for
-// drivers whose worker count is not known up front (the NetFlow wire
-// collector opens one partial per accepted stream). opts follows the
-// same rules as NewShardedAggregator; merge the partials with
-// MergePartials.
+// NewShardPartial builds one worker-local partial over idx. A zero or
+// negative opts.ScannerThreshold excludes no line on the fly;
+// opts.Excluded is additionally honoured, for callers pre-seeding known
+// scanners. Merge the partials with MergePartials or FederatedMerge.
 func NewShardPartial(idx *BackendIndex, days []time.Time, opts Options) *ShardPartial {
 	threshold := opts.ScannerThreshold
 	if threshold <= 0 {
@@ -344,14 +320,12 @@ func NewShardPartial(idx *BackendIndex, days []time.Time, opts Options) *ShardPa
 		threshold: threshold,
 		cc:        NewContactCounter(idx),
 		col:       NewCollector(idx, days, opts),
-		entOf:     map[netip.Addr]int32{},
 	}
 }
 
 // MergePartials folds the partials, in slice order, into one
 // ContactCounter and Collector. All partials must share idx, days, and
-// Options, and every buffered line must have been completed with
-// EndLine. The fold consumes the partials (donor aggregates may be
+// Options. The fold consumes the partials (donor aggregates may be
 // adopted by reference); both merges are order-independent, so any
 // stable partition of the feed yields byte-identical results. parts
 // must be non-empty.
@@ -364,111 +338,57 @@ func MergePartials(parts []*ShardPartial) (*ContactCounter, *Collector) {
 	return cc, col
 }
 
-// Ingest buffers one record of the line currently being simulated.
-func (p *ShardPartial) Ingest(r netflow.Record) { p.buf = append(p.buf, r) }
-
-// EndLine consumes the buffered line-week: Figure 5 contact counting
-// always sees the line, the Collector only when the address stays at or
-// below the scanner threshold (the Richter-style exclusion, applied the
-// moment the per-line evidence is complete).
-func (p *ShardPartial) EndLine() {
-	if len(p.buf) == 0 {
-		return
-	}
-	words := p.idx.words
-	// A line emits from its V4 and (optionally) V6 address; exclusion is
-	// per address, exactly like the threshold sweep over a ContactCounter.
-	p.sides = p.sides[:0]
-	ents := p.ents[:0]
-	for _, r := range p.buf {
-		line, backendID, down, ok := p.idx.lineSide(r)
-		if !ok {
-			p.sides = append(p.sides, recSide{entry: -1})
-			continue
-		}
-		e, found := p.entOf[line]
-		if !found {
-			e = int32(len(ents))
-			if cap(ents) > len(ents) {
-				ents = ents[:len(ents)+1]
-				ent := &ents[e]
-				ent.addr = line
-				if len(ent.bits) != words {
-					ent.bits = make([]uint64, words)
-				} else {
-					clearBits(ent.bits)
-				}
-			} else {
-				ents = append(ents, endEnt{addr: line, bits: make([]uint64, words)})
-			}
-			p.entOf[line] = e
-		}
-		setBit(ents[e].bits, int(backendID))
-		p.sides = append(p.sides, recSide{backendID: backendID, entry: e, down: down})
-	}
-	for i := range ents {
-		p.cc.addContacts(ents[i].addr, ents[i].bits)
-		ents[i].over = popcount(ents[i].bits) > p.threshold
-	}
-	for i, r := range p.buf {
-		s := p.sides[i]
-		if s.entry < 0 || ents[s.entry].over {
-			continue
-		}
-		p.col.ingestClassified(r, ents[s.entry].addr, s.backendID, s.down)
-	}
-	p.buf = p.buf[:0]
-	p.ents = ents
-	clear(p.entOf)
-}
-
-// ShardedAggregator drives the analysis side of the single-pass
-// pipeline: one ShardPartial per simulation worker, merged in shard
-// order once the simulation completes. The merged result is
+// SimulatePartials is memory mode's single-pass pipeline: net's
+// line-major simulation runs on `shards` workers, each folding every
+// completed line-week into its own ShardPartial as one flush through
+// AppendRecords, so scanner lines are classified the moment their week
+// is complete. The partials come back in shard order; merged, they are
 // byte-identical to a sequential ContactCounter pass plus a Collector
-// pass with the counter's over-threshold addresses excluded — over the
+// pass with the counter's over-threshold addresses excluded, over the
 // same single feed.
-type ShardedAggregator struct {
-	parts []*ShardPartial
-	// merged caches the Merge result: merging folds partials into
-	// shard 0 in place (and adopts donor aggregates by reference), so it
-	// must run exactly once.
-	merged bool
-	cc     *ContactCounter
-	col    *Collector
-}
-
-// NewShardedAggregator builds `shards` worker-local partials over idx.
-// opts applies to every partial's Collector; opts.ScannerThreshold
-// controls the per-line exclusion (opts.Excluded is additionally
-// honoured, for callers pre-seeding known scanners).
-func NewShardedAggregator(idx *BackendIndex, days []time.Time, opts Options, shards int) *ShardedAggregator {
+func SimulatePartials(net *isp.Network, idx *BackendIndex, days []time.Time, opts Options, shards int) []*ShardPartial {
 	if shards < 1 {
 		shards = 1
 	}
-	a := &ShardedAggregator{parts: make([]*ShardPartial, shards)}
-	for i := range a.parts {
-		a.parts[i] = NewShardPartial(idx, days, opts)
+	parts := make([]*ShardPartial, shards)
+	feeds := make([]*recordFeed, shards)
+	for i := range parts {
+		parts[i] = NewShardPartial(idx, days, opts)
+		feeds[i] = newRecordFeed(parts[i], days[0])
 	}
-	return a
+	net.SimulateLines(shards,
+		func(shard int) func(netflow.Record) {
+			f := feeds[shard]
+			return func(r netflow.Record) { f.recs = append(f.recs, r) }
+		},
+		func(shard int, _ *isp.Line) {
+			f := feeds[shard]
+			f.flush(f.recs)
+			f.recs = f.recs[:0]
+		},
+	)
+	return parts
 }
 
-// Shards returns the shard count; drive the simulation with exactly
-// this many workers (isp.SimulateLines(a.Shards(), ...)).
-func (a *ShardedAggregator) Shards() int { return len(a.parts) }
+// recordFeed is one record stream into a Sink: record-fed tables and a
+// batch reused across flushes, plus the buffer of the flush in progress.
+type recordFeed struct {
+	sink   Sink
+	tables *WireTables
+	batch  netflow.RecordBatch
+	epoch  time.Time
+	recs   []netflow.Record
+}
 
-// Shard returns worker i's partial.
-func (a *ShardedAggregator) Shard(i int) *ShardPartial { return a.parts[i] }
+// newRecordFeed opens a record stream into s whose hours count from
+// epoch (the sink's study start).
+func newRecordFeed(s Sink, epoch time.Time) *recordFeed {
+	return &recordFeed{sink: s, tables: s.NewWireTables(), epoch: epoch}
+}
 
-// Merge folds every shard partial, in shard order, into the final
-// ContactCounter and Collector. The fold consumes the partials (donor
-// aggregates may be adopted by reference, not copied), so repeated
-// calls return the cached first result.
-func (a *ShardedAggregator) Merge() (*ContactCounter, *Collector) {
-	if a.merged {
-		return a.cc, a.col
-	}
-	a.merged = true
-	a.cc, a.col = MergePartials(a.parts)
-	return a.cc, a.col
+// flush folds recs into the sink as one flush interval.
+func (f *recordFeed) flush(recs []netflow.Record) {
+	f.tables.AppendRecords(&f.batch, recs, f.epoch)
+	f.sink.IngestBatch(f.tables, &f.batch)
+	f.batch.Reset()
 }

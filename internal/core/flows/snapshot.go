@@ -48,6 +48,12 @@ const (
 // corrupt length cannot allocate unbounded memory before validation.
 const maxSnapshotEntries = 1 << 26
 
+// snapPrealloc caps how many elements a decoder pre-sizes from a length
+// field. Longer slices grow as their data actually arrives, so a corrupt
+// length costs allocation in proportion to the bytes read, not to the
+// count it claims.
+const snapPrealloc = 1 << 12
+
 // --- codec helpers -------------------------------------------------------
 
 // snapWriter is a little-endian writer with a latched error, so encode
@@ -160,8 +166,12 @@ func (s *snapReader) bytes(what string) []byte {
 	if s.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	s.read(b)
+	b := make([]byte, 0, min(n, snapPrealloc))
+	for len(b) < n && s.err == nil {
+		k := min(n-len(b), snapPrealloc)
+		b = append(b, make([]byte, k)...)
+		s.read(b[len(b)-k:])
+	}
 	return b
 }
 
@@ -184,9 +194,9 @@ func (s *snapReader) u64s(what string) []uint64 {
 	if s.err != nil {
 		return nil
 	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = s.u64()
+	v := make([]uint64, 0, min(n, snapPrealloc))
+	for len(v) < n && s.err == nil {
+		v = append(v, s.u64())
 	}
 	return v
 }
@@ -196,22 +206,14 @@ func (s *snapReader) f64s(what string) []float64 {
 	if s.err != nil {
 		return nil
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = s.f64()
+	v := make([]float64, 0, min(n, snapPrealloc))
+	for len(v) < n && s.err == nil {
+		v = append(v, s.f64())
 	}
 	return v
 }
 
-func (s *snapReader) u8s(what string) []uint8 {
-	n := s.count(what)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]uint8, n)
-	s.read(v)
-	return v
-}
+func (s *snapReader) u8s(what string) []uint8 { return s.bytes(what) }
 
 // --- fingerprints --------------------------------------------------------
 
@@ -932,7 +934,7 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 	if s.err == nil && len(c.laDaily) != nla*c.ds {
 		s.err = fmt.Errorf("flows: snapshot laDaily length %d, want %d", len(c.laDaily), nla*c.ds)
 	}
-	c.laKeys = make([]laKey, 0, nla)
+	c.laKeys = make([]laKey, 0, min(nla, snapPrealloc))
 	for i := 0; i < nla && s.err == nil; i++ {
 		k := laKey{line: int32(s.u32()), alias: int32(s.u32())}
 		if int(k.line) >= nLines || int(k.alias) >= c.nAliases {
@@ -948,7 +950,7 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 	if s.err == nil && len(c.lpDaily) != nlp*c.ds {
 		s.err = fmt.Errorf("flows: snapshot lpDaily length %d, want %d", len(c.lpDaily), nlp*c.ds)
 	}
-	c.lpKeys = make([]lpKey, 0, nlp)
+	c.lpKeys = make([]lpKey, 0, min(nlp, snapPrealloc))
 	for i := 0; i < nlp && s.err == nil; i++ {
 		k := lpKey{line: int32(s.u32()), port: int32(s.u32())}
 		if int(k.line) >= nLines || int(k.port) >= nPorts {
@@ -1134,7 +1136,7 @@ func RestoreWireTables(src io.Reader, sink Sink) (*WireTables, error) {
 	if s.err == nil && nl > maxWireDictEntries {
 		return nil, fmt.Errorf("flows: wire-tables snapshot has %d lines (limit %d)", nl, maxWireDictEntries)
 	}
-	t.lines = make([]wireLineEnt, 0, nl)
+	t.lines = make([]wireLineEnt, 0, min(nl, snapPrealloc))
 	for i := 0; i < nl && s.err == nil; i++ {
 		if s.u8() == 0 {
 			t.lines = append(t.lines, wireLineEnt{ccID: -1, colID: -1})
@@ -1152,7 +1154,7 @@ func RestoreWireTables(src io.Reader, sink Sink) (*WireTables, error) {
 	if s.err == nil && nb > maxWireDictEntries {
 		return nil, fmt.Errorf("flows: wire-tables snapshot has %d backends (limit %d)", nb, maxWireDictEntries)
 	}
-	t.backends = make([]int32, 0, nb)
+	t.backends = make([]int32, 0, min(nb, snapPrealloc))
 	for i := 0; i < nb && s.err == nil; i++ {
 		id := s.i64()
 		if s.err == nil && (id < int64(lostBackend) || id >= int64(len(t.idx.addrs))) {

@@ -55,36 +55,33 @@ import (
 // (TestWindowEvictionMatchesBatch).
 //
 // Eviction granularity caveat: scanner classification stays per-flush,
-// exactly like the live wire pipeline (ShardPartial.EndLine/
-// IngestBatch), but a bucket can only retire what landed in its hour.
-// A flush whose records span multiple hours is split across buckets
-// while its classification evidence was pooled, so eviction is exact
-// for feeds whose flush intervals respect hour boundaries (the natural
-// discipline of a live exporter flushing at least hourly) and
-// approximate otherwise — the whole-window no-eviction identity holds
-// for any flush pattern either way. Similarly, a flush that jumps the
-// window forward past an hour it is itself still filling credits that
-// hour's in-flight records to EvictedRecords without an EvictedHours
-// increment unless an earlier flush already landed there; hour-pure
-// feeds never hit the case.
+// exactly like the batch pipeline (ShardPartial.IngestBatch), but a
+// bucket can only retire what landed in its hour. A flush whose records
+// span multiple hours is split across buckets while its classification
+// evidence was pooled, so eviction is exact for feeds whose flush
+// intervals respect hour boundaries (the natural discipline of a live
+// exporter flushing at least hourly) and approximate otherwise — the
+// whole-window no-eviction identity holds for any flush pattern either
+// way. Similarly, a flush that jumps the window forward past an hour it
+// is itself still filling credits that hour's in-flight records to
+// EvictedRecords without an EvictedHours increment unless an earlier
+// flush already landed there; hour-pure feeds never hit the case.
 
-// Sink is where a wire stream's flush intervals land: either a
-// per-stream ShardPartial (the batch collector) or a shared Window (the
-// long-lived service). Both consume whole flush intervals, because
-// scanner classification is a per-flush decision.
+// Sink is where a stream's flush intervals land: either a per-stream
+// ShardPartial (the batch collector and memory mode) or a shared Window
+// (the long-lived service). Both consume whole flush intervals, because
+// scanner classification is a per-flush decision, and both take them in
+// one shape: a RecordBatch resolved through the stream's WireTables
+// (dictionary-fed by a wire stream, or record-fed by AppendRecords).
 type Sink interface {
-	// IngestFlush consumes one flush interval's records (bytes already
-	// scaled to volume estimates): classify each line address against
-	// the scanner threshold using this flush's distinct-backend
-	// evidence, count every record's contact, aggregate the kept ones.
-	// An empty flush is a no-op.
-	IngestFlush(recs []netflow.Record)
-	// IngestBatch is IngestFlush for the columnar wire path: one flush
-	// interval's validated RecordBatch, resolved through the stream's
-	// dictionary tables.
+	// IngestBatch consumes one flush interval's rows (bytes already
+	// scaled to volume estimates, hours relative to the study start):
+	// classify each line address against the scanner threshold using
+	// this flush's distinct-backend evidence, count every row's contact,
+	// aggregate the kept ones. An empty batch is a no-op.
 	IngestBatch(t *WireTables, b *netflow.RecordBatch)
-	// NewWireTables returns empty per-stream dictionary tables bound to
-	// this sink's index and exclusion set.
+	// NewWireTables returns empty per-stream tables bound to this sink's
+	// index and exclusion set.
 	NewWireTables() *WireTables
 }
 
@@ -92,13 +89,6 @@ var (
 	_ Sink = (*ShardPartial)(nil)
 	_ Sink = (*Window)(nil)
 )
-
-// IngestFlush implements Sink: buffer the flush interval's records and
-// complete it, classifying its lines with EndLine's per-flush evidence.
-func (p *ShardPartial) IngestFlush(recs []netflow.Record) {
-	p.buf = append(p.buf, recs...)
-	p.EndLine()
-}
 
 // maxWindowShards caps the ingest shard fan-out; past a handful of
 // shards the fold/snapshot cost of walking every shard's ring dominates
@@ -123,9 +113,8 @@ type Window struct {
 	focusAliasID int32
 	focusRegion  string
 
-	// Dense geometry: words/aw are the backend/alias bitset widths, nA
-	// the alias count.
-	words, aw, nA int
+	// Dense geometry: aw is the alias bitset width, nA the alias count.
+	aw, nA int
 
 	// endA mirrors end for lock-free reads on the ingest fast path and
 	// the End()/Span() accessors.
@@ -186,11 +175,9 @@ type winShard struct {
 	pslHint int
 	// touched lists the buckets the in-progress flush wrote to.
 	touched []*winBucket
-
-	// Per-flush classification scratch, recycled across calls.
-	sides []recSide
-	ents  []endEnt
-	entOf map[netip.Addr]int32
+	// ents is the per-flush classification scratch, recycled across
+	// calls.
+	ents []endEnt
 }
 
 // Alias-slot flag bits (rowU8 alias-flag lanes).
@@ -284,7 +271,7 @@ type BucketStat struct {
 
 // NewWindow builds a sliding window of `hours` trailing hours over idx,
 // with hour 0 anchored at epoch. hours must be a positive multiple of
-// 24 (study frames are day-granular). opts follows NewShardedAggregator
+// 24 (study frames are day-granular). opts follows NewShardPartial
 // semantics; when the window is fed by a wire collector (whose streams
 // pre-scale counters at the stream boundary) opts.SamplingRate must be
 // 1, exactly as the collector forces on its own partials.
@@ -320,7 +307,6 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 		excluded:     opts.Excluded,
 		focusAliasID: focusAliasID,
 		focusRegion:  opts.FocusRegion,
-		words:        idx.words,
 		aw:           idx.aliasWords,
 		nA:           nA,
 		end:          -1,
@@ -338,11 +324,10 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 	w.shards = make([]*winShard, n)
 	for i := range w.shards {
 		w.shards[i] = &winShard{
-			w:     w,
-			pcap:  8,
-			pw:    1,
-			ring:  make([]*winBucket, hours),
-			entOf: map[netip.Addr]int32{},
+			w:    w,
+			pcap: 8,
+			pw:   1,
+			ring: make([]*winBucket, hours),
 		}
 	}
 	return w, nil
@@ -875,82 +860,17 @@ func (sh *winShard) scatter(bk *winBucket, row int, backendID int32, lb int, dow
 	}
 }
 
-// IngestFlush implements Sink for the record path: classification
-// evidence is pooled over the whole flush (exactly like
-// ShardPartial.EndLine — a scanner's contacts count no matter which
-// hour they land in), then each record folds into its own hour bucket.
-func (w *Window) IngestFlush(recs []netflow.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	words := w.words
-	sh.sides = sh.sides[:0]
-	ents := sh.ents[:0]
-	for _, r := range recs {
-		line, backendID, down, ok := w.idx.lineSide(r)
-		if !ok {
-			sh.sides = append(sh.sides, recSide{entry: -1})
-			continue
-		}
-		e, found := sh.entOf[line]
-		if !found {
-			e = int32(len(ents))
-			ents = appendEnt(ents, line, words)
-			sh.entOf[line] = e
-		}
-		setBit(ents[e].bits, int(backendID))
-		sh.sides = append(sh.sides, recSide{backendID: backendID, entry: e, down: down})
-	}
-	for i := range ents {
-		ents[i].over = popcount(ents[i].bits) > w.threshold
-	}
-	for i, r := range recs {
-		s := sh.sides[i]
-		if s.entry < 0 {
-			continue
-		}
-		since := r.Start.Sub(w.epoch)
-		bk := sh.route(int64(since/time.Hour), since < 0)
-		if bk == nil {
-			continue
-		}
-		ent := &ents[s.entry]
-		row := sh.rowFor(bk, sh.lines.id(ent.addr))
-		lb := sh.ccSet(bk, row, s.backendID)
-		if ent.over {
-			continue
-		}
-		if _, skip := w.excluded[ent.addr]; !skip {
-			port := proto.PortKey{Port: r.SrcPort}
-			if !s.down {
-				port = proto.PortKey{Port: r.DstPort}
-			}
-			if r.Proto == netflow.ProtoUDP {
-				port.Transport = proto.UDP
-			}
-			sh.scatter(bk, row, s.backendID, lb, s.down, sh.portID(port), float64(r.Bytes)*w.rate)
-		}
-		bk.records++
-	}
-	sh.ents = ents
-	clear(sh.entOf)
-	sh.endFlush()
-}
-
-// IngestBatch implements Sink for the columnar wire path. Row hours are
-// epoch-relative study hours exactly as the wire collector rebases them
-// (negative = before the epoch); rows beyond the newest hour advance
-// the window. Classification mirrors ShardPartial.IngestBatch:
+// IngestBatch implements Sink. Row hours are epoch-relative study hours
+// exactly as the wire collector rebases them and AppendRecords floors
+// them (negative = before the epoch); rows beyond the newest hour
+// advance the window. Classification mirrors ShardPartial.IngestBatch:
 // per-flush evidence over every row with an indexed backend, exclusion
-// per line address, contacts counted regardless of the scanner verdict.
-// The tables stay bound to one ingest shard (their winID memos are
-// shard line IDs), which is the per-stream parallelism unit.
+// per line address, contacts counted regardless of the scanner verdict;
+// only kept rows count toward a bucket's Records. The tables stay bound
+// to one ingest shard (their winID memos are shard line IDs), which is
+// the per-stream parallelism unit.
 func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
-	n := b.Len()
-	if n == 0 {
+	if b.Len() == 0 {
 		return
 	}
 	sh := t.shard
@@ -967,35 +887,14 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	words := w.words
-	ents := sh.ents[:0]
+	ents := t.classify(b, sh.ents, w.threshold)
+	sh.ents = ents
 
-	// Pass 1: per-line contact evidence for this flush interval.
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
-		if be < 0 {
-			continue
-		}
-		li := b.Line[i]
-		e := t.entSlot[li]
-		if e == 0 {
-			ents = appendEnt(ents, t.lines[li].addr, words)
-			e = int32(len(ents))
-			t.entSlot[li] = e
-			t.touched = append(t.touched, int32(li))
-		}
-		setBit(ents[e-1].bits, int(be))
-	}
-	for _, li := range t.touched {
-		ent := &ents[t.entSlot[li]-1]
-		ent.over = popcount(ent.bits) > w.threshold
-	}
-
-	// Pass 2: route every row to its hour bucket — contact evidence
-	// always, scatter only for kept rows of non-excluded lines. Line
-	// IDs are shard-table IDs memoized on the tables (winID).
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
+	// Route every row to its hour bucket — contact evidence always,
+	// scatter only for kept rows of non-excluded lines. Line IDs are
+	// shard-table IDs memoized on the tables (winID).
+	for i, bi := range b.Backend {
+		be := t.backends[bi]
 		if be < 0 {
 			continue
 		}
@@ -1023,12 +922,7 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		sh.scatter(bk, row, be, lb, b.Down[i], sh.portID(port), float64(b.Bytes[i])*w.rate)
 		bk.records++
 	}
-
-	for _, li := range t.touched {
-		t.entSlot[li] = 0
-	}
-	t.touched = t.touched[:0]
-	sh.ents = ents
+	t.endClassify()
 	sh.endFlush()
 }
 
@@ -1038,22 +932,6 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 func (w *Window) NewWireTables() *WireTables {
 	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
 	return &WireTables{idx: w.idx, excluded: w.excluded, shard: sh}
-}
-
-// appendEnt reuses (or allocates) the next per-flush line entry.
-func appendEnt(ents []endEnt, addr netip.Addr, words int) []endEnt {
-	if cap(ents) > len(ents) {
-		ents = ents[:len(ents)+1]
-		ent := &ents[len(ents)-1]
-		ent.addr = addr
-		if len(ent.bits) != words {
-			ent.bits = make([]uint64, words)
-		} else {
-			clearBits(ent.bits)
-		}
-		return ents
-	}
-	return append(ents, endEnt{addr: addr, bits: make([]uint64, words)})
 }
 
 // --- Incremental fold ----------------------------------------------------

@@ -55,14 +55,19 @@ func TestWindowWeekMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := make([][]netflow.Record, testShards)
+	feeds := make([]*recordFeed, testShards)
+	for i := range feeds {
+		feeds[i] = newRecordFeed(win, win.Epoch())
+	}
 	cachedNet.SimulateLines(testShards,
 		func(shard int) func(netflow.Record) {
-			return func(r netflow.Record) { bufs[shard] = append(bufs[shard], r) }
+			f := feeds[shard]
+			return func(r netflow.Record) { f.recs = append(f.recs, r) }
 		},
 		func(shard int, _ *isp.Line) {
-			win.IngestFlush(bufs[shard])
-			bufs[shard] = bufs[shard][:0]
+			f := feeds[shard]
+			f.flush(f.recs)
+			f.recs = f.recs[:0]
 		},
 	)
 	if st := win.Stats(); st.EvictedHours != 0 || st.LateRecords != 0 || st.PreWindowRecords != 0 {
@@ -122,8 +127,9 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 		}
 		flushes := hourFlushes(f.recs, epoch)
 		end := flushHour(flushes[len(flushes)-1], epoch)
+		feed := newRecordFeed(win, epoch)
 		for _, flush := range flushes {
-			win.IngestFlush(flush)
+			feed.flush(flush)
 		}
 		st := win.Stats()
 		if st.EvictedHours == 0 {
@@ -141,9 +147,10 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 			epoch.Add(time.Duration(ws+24) * time.Hour),
 		}
 		ref := NewShardPartial(f.idx, days, opts)
+		refFeed := newRecordFeed(ref, days[0])
 		for _, flush := range flushes {
 			if h := flushHour(flush, epoch); h >= ws && h <= end {
-				ref.IngestFlush(flush)
+				refFeed.flush(flush)
 			}
 		}
 		refCC, refCol := MergePartials([]*ShardPartial{ref})
@@ -153,7 +160,8 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 
 // TestWindowBatchPathMatchesRecordPath: the columnar wire path
 // (dictionary tables + RecordBatch) folds into a window exactly like
-// the equivalent record flushes.
+// the equivalent record flushes through the record edge
+// (AppendRecords: identity backend dictionary, first-contact line IDs).
 func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	f := buildDenseFixture(7)
 	opts := f.opts
@@ -169,6 +177,7 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables := winBatch.NewWireTables()
+	recFeed := newRecordFeed(winRec, epoch)
 
 	// Build the stream dictionaries the exporter would have negotiated.
 	lineID := map[netip.Addr]uint32{}
@@ -197,7 +206,7 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	}
 
 	for _, flush := range hourFlushes(f.recs, epoch) {
-		winRec.IngestFlush(flush)
+		recFeed.flush(flush)
 		var b netflow.RecordBatch
 		for _, r := range flush {
 			line, beID, down, ok := f.idx.lineSide(r)
@@ -253,8 +262,9 @@ func TestWindowConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushes := hourFlushes(f.recs, epoch)
+	seqFeed := newRecordFeed(seq, epoch)
 	for _, fl := range flushes {
-		seq.IngestFlush(fl)
+		seqFeed.flush(fl)
 	}
 	refCC, refCol := seq.Merged()
 
@@ -296,8 +306,9 @@ func TestWindowConcurrentIngest(t *testing.T) {
 		writers.Add(1)
 		go func(wk int) {
 			defer writers.Done()
+			feed := newRecordFeed(con, epoch)
 			for i := wk; i < len(flushes); i += workers {
-				con.IngestFlush(flushes[i])
+				feed.flush(flushes[i])
 			}
 		}(wk)
 	}
@@ -329,8 +340,9 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	}
 	flushes := hourFlushes(f.recs, epoch)
 	half := len(flushes) / 2
+	feed := newRecordFeed(win, epoch)
 	for _, flush := range flushes[:half] {
-		win.IngestFlush(flush)
+		feed.flush(flush)
 	}
 
 	var buf bytes.Buffer
@@ -346,9 +358,10 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 			restored.End(), win.End(), restored.Stats(), win.Stats())
 	}
 
+	restoredFeed := newRecordFeed(restored, epoch)
 	for _, flush := range flushes[half:] {
-		win.IngestFlush(flush)
-		restored.IngestFlush(flush)
+		feed.flush(flush)
+		restoredFeed.flush(flush)
 	}
 	ccA, colA := win.Merged()
 	ccB, colB := restored.Merged()
@@ -379,7 +392,7 @@ func TestWindowSnapshotRefusesMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.IngestFlush(f.recs[:100])
+	newRecordFeed(win, f.days[0]).flush(f.recs[:100])
 	var buf bytes.Buffer
 	if err := Snapshot(&buf, win); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,10 @@
 //
 // The active-measurement part of the methodology (Section 3.3) performs
 // daily DNS resolutions from three vantage points; this package is the wire
-// substrate beneath internal/resolver (client) and internal/dnszone
-// (authoritative server). Parsing follows the gopacket discipline: decode
-// into caller-owned structs, never retain the input buffer.
+// substrate beneath internal/dnszone (authoritative server) and the
+// discovery stage's lookups against it (client). Parsing follows the
+// gopacket discipline: decode into caller-owned structs, never retain the
+// input buffer.
 package dnsmsg
 
 import (
