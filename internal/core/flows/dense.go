@@ -35,11 +35,21 @@ import (
 // the cap take the map fallback instead (correct, just not O(1)).
 const planTabCap = 1 << 22
 
+// planSpan bounds how far a vantage's plan table may reach per address
+// the vantage has interned: a table of planSpan×(n+1) slots stays a
+// dense accelerator for any feed that covers a fair share of its plan,
+// while one stray slot (a sparse or hostile address set) takes the map
+// fallback instead of sizing the table by its line index.
+const planSpan = 64
+
 // lineTab interns line addresses into a compact local ID space.
 type lineTab struct {
 	// plan maps a vantage's plan slot (isp.LineSlot) to local ID+1.
 	plan [isp.MaxVantages][]int32
-	// other holds the IDs of non-plan addresses (nil until needed).
+	// planN counts each vantage's interned plan addresses.
+	planN [isp.MaxVantages]int32
+	// other holds the IDs of addresses without a plan table entry (nil
+	// until needed).
 	other map[netip.Addr]int32
 	// addrs is the reverse table: local ID → address.
 	addrs []netip.Addr
@@ -48,34 +58,43 @@ type lineTab struct {
 // id interns a and returns its local ID; new addresses get
 // len(addrs)-1 in call order.
 func (t *lineTab) id(a netip.Addr) int32 {
-	if v, slot, ok := isp.LineSlot(a); ok && slot < planTabCap {
-		s := t.plan[v]
-		if int(slot) >= len(s) {
+	v, slot, plan := isp.LineSlot(a)
+	plan = plan && slot < planTabCap
+	var s []int32
+	if plan {
+		s = t.plan[v]
+		if int(slot) >= len(s) && int(slot) < planSpan*(int(t.planN[v])+1) {
 			s = grown(s, int(slot)+1)
 			t.plan[v] = s
 		}
-		if id := s[slot]; id != 0 {
-			return id - 1
+		if int(slot) < len(s) && s[slot] != 0 {
+			return s[slot] - 1
 		}
-		id := int32(len(t.addrs))
+	}
+	// First sight of a, or a has no table entry: the map may still hold
+	// it from before its vantage's table reached its slot.
+	id, ok := t.other[a]
+	if !ok {
+		id = int32(len(t.addrs))
 		t.addrs = append(t.addrs, a)
+		if plan {
+			t.planN[v]++
+		}
+	}
+	switch {
+	case plan && int(slot) < len(s):
 		s[slot] = id + 1
-		return id
+	case !ok:
+		if t.other == nil {
+			t.other = map[netip.Addr]int32{}
+		}
+		t.other[a] = id
 	}
-	if id, ok := t.other[a]; ok {
-		return id
-	}
-	if t.other == nil {
-		t.other = map[netip.Addr]int32{}
-	}
-	id := int32(len(t.addrs))
-	t.other[a] = id
-	t.addrs = append(t.addrs, a)
 	return id
 }
 
 func (t *lineTab) clone() lineTab {
-	var out lineTab
+	out := lineTab{planN: t.planN}
 	for v, s := range t.plan {
 		if s != nil {
 			out.plan[v] = append([]int32(nil), s...)

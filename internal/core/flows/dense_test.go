@@ -591,3 +591,29 @@ func TestDenseMergeMatchesMapReference(t *testing.T) {
 		t.Fatal("merged dense contacts diverge from the sequential map reference")
 	}
 }
+
+// TestLineTabSparsePlan: a plan address far beyond its vantage's table
+// interns through the map instead of sizing the table by its line
+// index, and keeps its ID once enough addresses let the table reach its
+// slot.
+func TestLineTabSparsePlan(t *testing.T) {
+	var tab lineTab
+	far := isp.LineV4Addr(0, 1000) // slot 2000
+	if id := tab.id(far); id != 0 {
+		t.Fatalf("first address got ID %d", id)
+	}
+	if n := len(tab.plan[0]); n != 0 {
+		t.Fatalf("one stray slot sized the plan table to %d", n)
+	}
+	for i := 0; i < 40; i++ { // 41 addresses: the table may now span 64×42 slots
+		if id := tab.id(isp.LineV4Addr(0, i)); int(id) != i+1 {
+			t.Fatalf("line %d got ID %d, want %d", i, id, i+1)
+		}
+	}
+	if id := tab.id(far); id != 0 {
+		t.Fatalf("far address re-interned as %d once the table reached it", id)
+	}
+	if len(tab.addrs) != 41 || len(tab.plan[0]) <= 2000 || tab.plan[0][2000] != 1 {
+		t.Fatalf("far address not moved into the table: %d addrs, table %d", len(tab.addrs), len(tab.plan[0]))
+	}
+}

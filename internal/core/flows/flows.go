@@ -35,6 +35,7 @@ package flows
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -583,6 +584,39 @@ func (c *Collector) lpSlotBase(line, port int) int {
 		arr[line] = slot
 	}
 	return (int(slot) - 1) * c.ds
+}
+
+// sortSlots renumbers the lineAliasDaily and linePortDaily slot tables
+// line-major, by (line, alias) and (line, port), so their layout no
+// longer records the order the lines were ingested or folded in.
+func (c *Collector) sortSlots() {
+	c.laKeys, c.laDaily = sortSlotTable(c.laKeys, c.laDaily, c.ds,
+		func(k laKey) (int32, int32) { return k.line, k.alias },
+		func(line, alias int32) *int32 { return &c.laIdx[int(line)*c.nAliases+int(alias)] })
+	c.lpKeys, c.lpDaily = sortSlotTable(c.lpKeys, c.lpDaily, c.ds,
+		func(k lpKey) (int32, int32) { return k.line, k.port },
+		func(line, port int32) *int32 { return &c.lpIdx[port][line] })
+}
+
+// sortSlotTable reorders a slot table by (line, second key), sorting the
+// key pairs as packed integers. A slot's index entry, which idx
+// locates, says where its ds daily values sat and takes its new number.
+func sortSlotTable[K laKey | lpKey](keys []K, daily []float64, ds int, split func(K) (int32, int32), idx func(line, second int32) *int32) ([]K, []float64) {
+	packed := make([]uint64, len(keys))
+	for s, k := range keys {
+		line, second := split(k)
+		packed[s] = uint64(line)<<32 | uint64(second)
+	}
+	slices.Sort(packed)
+	outKeys, outDaily := make([]K, len(keys)), make([]float64, len(daily))
+	for s, p := range packed {
+		e := idx(int32(p>>32), int32(uint32(p)))
+		from := int(*e) - 1
+		outKeys[s] = keys[from]
+		copy(outDaily[s*ds:(s+1)*ds], daily[from*ds:])
+		*e = int32(s) + 1
+	}
+	return outKeys, outDaily
 }
 
 // ingestDense is the fully resolved ingest core: line already interned,

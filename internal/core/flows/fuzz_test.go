@@ -6,9 +6,12 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"iotmap/internal/isp"
+	"iotmap/internal/netflow"
 )
 
 // restoreAllocPerByte and restoreAllocSlack bound what RestoreWireTables
@@ -100,6 +103,160 @@ func FuzzRestoreWireTables(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again.lines, tables.lines) || !reflect.DeepEqual(again.backends, tables.backends) {
 			t.Fatal("restored tables changed across a snapshot round trip")
+		}
+	})
+}
+
+// iwinHoursAt is the offset of the u32 window-hours field in an IWIN
+// header: magic, version, then the index and options fingerprints.
+const iwinHoursAt = len(snapshotMagic) + 2 + 8 + 8
+
+// windowRingBytes is what NewWindow allocates for an hours-long ring
+// before any bucket exists: the frame ledger's per-hour liveness and
+// record counts, and one bucket pointer per hour in every shard.
+func windowRingBytes(hours int) int {
+	return hours * (1 + 8 + 8*maxWindowShards)
+}
+
+// snapshotBytes returns Snapshot's encoding of win.
+func snapshotBytes(t testing.TB, win *Window) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Snapshot(&buf, win); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// windowSeeds returns real Snapshot outputs over f: a half-fed window
+// under a focus alias, an empty window, the empty window's header
+// patched to claim a 24,000,000-hour span, and a window whose first
+// hour holds one row over 1,000 ports ahead of single-record hours
+// (restore must not presize those small hours like the wide one).
+func windowSeeds(t testing.TB, f denseFixture, opts Options) [][]byte {
+	t.Helper()
+	newWin := func() *Window {
+		win, err := NewWindow(f.idx, f.days[0], 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return win
+	}
+	win := newWin()
+	empty := snapshotBytes(t, win)
+	flushes := hourFlushes(f.recs, f.days[0])
+	feed := newRecordFeed(win, f.days[0])
+	for _, flush := range flushes[:len(flushes)/2] {
+		feed.flush(flush)
+	}
+	patched := append([]byte(nil), empty...)
+	binary.LittleEndian.PutUint32(patched[iwinHoursAt:], 24_000_000)
+
+	wide := newWin()
+	feed = newRecordFeed(wide, f.days[0])
+	line := isp.LineV4Addr(0, 7)
+	var recs []netflow.Record
+	for p := 0; p < 1000; p++ {
+		recs = append(recs, netflow.Record{Src: f.idx.addrs[0], Dst: line, SrcPort: uint16(1000 + p), Bytes: 100, Start: f.days[0]})
+	}
+	feed.flush(recs)
+	for h := 1; h < 48; h++ {
+		feed.flush([]netflow.Record{{Src: f.idx.addrs[1], Dst: line, Bytes: 100, Start: f.days[0].Add(time.Duration(h) * time.Hour)}})
+	}
+	return [][]byte{snapshotBytes(t, win), empty, patched, snapshotBytes(t, wide)}
+}
+
+// TestRestoreRefusesOversizedWindow: a snapshot header claiming a span
+// past maxWindowHours fails before the ring is allocated, instead of
+// sizing the window by the claim.
+func TestRestoreRefusesOversizedWindow(t *testing.T) {
+	f := buildDenseFixture(11)
+	patched := windowSeeds(t, f, f.opts)[2]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	win, err := Restore(bytes.NewReader(patched), f.idx, f.opts)
+	runtime.ReadMemStats(&after)
+	if err == nil || win != nil || !strings.Contains(err.Error(), "24000000 hours") {
+		t.Fatalf("restore of a 24,000,000-hour header: window %v, err %v", win != nil, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > restoreAllocSlack {
+		t.Fatalf("refused restore allocated %d bytes", alloc)
+	}
+}
+
+// TestRestoreRejectsPaddingBits: a contact bitset with a bit set past
+// the last backend fails to restore, instead of indexing past the
+// backend tables.
+func TestRestoreRejectsPaddingBits(t *testing.T) {
+	f := buildDenseFixture(11)
+	f.idx.Build()
+	if f.idx.words != 1 || len(f.idx.addrs) >= 64 {
+		t.Fatalf("fixture has %d backends; the test needs padding in a one-word bitset", len(f.idx.addrs))
+	}
+	win, err := NewWindow(f.idx, f.days[0], 48, f.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRecordFeed(win, f.days[0]).flush([]netflow.Record{{
+		Src: f.idx.addrs[0], Dst: isp.LineV4Addr(0, 7), Bytes: 100, Start: f.days[0],
+	}})
+	data := snapshotBytes(t, win)
+	// After the 78-byte header: the bucket's hour and record count, the
+	// counter's line count, its one v4 line (length + 4 bytes), then the
+	// bitset length and the line's only bitset word.
+	const word = 78 + 8 + 8 + 4 + 4 + 4 + 4
+	if got := binary.LittleEndian.Uint64(data[word:]); got != 1 {
+		t.Fatalf("counter bitset word at offset %d is %#x, want backend 0's bit", word, got)
+	}
+	data[word+7] |= 0x80
+	restored, err := Restore(bytes.NewReader(data), f.idx, f.opts)
+	if err == nil || restored != nil || !strings.Contains(err.Error(), "counter bits has a bit set past") {
+		t.Fatalf("restore with a padding bit set: window %v, err %v", restored != nil, err)
+	}
+}
+
+// FuzzRestore: a window checkpoint this process did not write restores
+// or fails with an error and a nil window — never a panic — and
+// allocates no more than a fixed multiple of its own length plus the
+// ring its (capped) hours field legitimately asks for. Whatever
+// restores re-snapshots to bytes that restore to the same bytes again.
+func FuzzRestore(f *testing.F) {
+	fx := buildDenseFixture(11)
+	opts := fx.opts
+	opts.ScannerThreshold = 3
+	for _, seed := range windowSeeds(f, fx, opts) {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:len(seed)-1])
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bound := restoreAllocPerByte*len(data) + restoreAllocSlack
+		if len(data) >= iwinHoursAt+4 {
+			if h := binary.LittleEndian.Uint32(data[iwinHoursAt:]); h <= maxWindowHours {
+				bound += windowRingBytes(int(h))
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		win, err := Restore(bytes.NewReader(data), fx.idx, opts)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(bound) {
+			t.Fatalf("restoring %d bytes allocated %d bytes (bound %d)", len(data), alloc, bound)
+		}
+		if err != nil {
+			if win != nil {
+				t.Fatal("failed restore returned a window")
+			}
+			return
+		}
+		first := snapshotBytes(t, win)
+		again, err := Restore(bytes.NewReader(first), fx.idx, opts)
+		if err != nil {
+			t.Fatalf("re-snapshot of a restored window does not restore: %v", err)
+		}
+		if !bytes.Equal(snapshotBytes(t, again), first) {
+			t.Fatal("restored window changed across a snapshot round trip")
 		}
 	})
 }

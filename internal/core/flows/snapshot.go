@@ -1,12 +1,14 @@
 package flows
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,13 +19,13 @@ import (
 
 // Checkpoint/restore of the sliding window: the dense aggregation state
 // is snapshot-friendly by construction — every aggregate is a flat
-// slice, bitset, or small map, and line IDs are assigned in
-// first-contact order, so re-interning the stored addresses in ID order
-// on restore reproduces the line tables (plan arithmetic included)
-// exactly. The format is versioned, little-endian, and length-prefixed
-// throughout; a restored window continues ingesting as if the process
-// had never died, which the kill-resume acceptance test pins down to
-// byte-identical figures.
+// slice, bitset, or small map, and each hour is encoded with canonical
+// IDs (lines in sorted address order, ports in sorted key order), so
+// re-interning the stored addresses in ID order on restore reproduces
+// the line tables (plan arithmetic included) exactly. The format is
+// versioned, little-endian, and length-prefixed throughout; a restored
+// window continues ingesting as if the process had never died, which
+// the kill-resume acceptance test pins down to byte-identical figures.
 //
 // Safety: restore never trusts lengths blindly — every slice length is
 // validated against what the receiving aggregate's geometry implies
@@ -213,8 +215,6 @@ func (s *snapReader) f64s(what string) []float64 {
 	return v
 }
 
-func (s *snapReader) u8s(what string) []uint8 { return s.bytes(what) }
-
 // --- fingerprints --------------------------------------------------------
 
 // fingerprint binds a snapshot to the index and options it was taken
@@ -258,13 +258,12 @@ func optionsFingerprint(o Options) uint64 {
 // Restore with Restore against the same index and Options.
 //
 // The v1 format is unchanged from the per-bucket-Collector era: each
-// live hour is converted at the snapshot boundary into a transient
-// single-day ContactCounter+Collector pair and encoded with the
-// existing codecs. The conversion is canonical — lines and ports in
-// sorted order, slot tables in line-major order — so two windows whose
-// ring-columnar state is distributed differently across ingest shards
-// (an original and its restored twin, say) still serialize
-// byte-identically.
+// live hour is folded, through the same foldBucketInto that serves
+// Study and Merged, into a transient single-day ContactCounter+Collector
+// pair and encoded with the existing codecs. The encoding is canonical
+// (see hourFold), so two windows whose ring-columnar state is
+// distributed differently across ingest shards (an original and its
+// restored twin, say) still serialize byte-identically.
 func Snapshot(dst io.Writer, w *Window) error {
 	w.lockShards()
 	defer w.unlockShards()
@@ -283,267 +282,78 @@ func Snapshot(dst io.Writer, w *Window) error {
 	s.u64(stats.EvictedHours)
 	s.u64(stats.EvictedRecords)
 
-	type liveHour struct {
-		ah   int64
-		refs []bucketRef
-	}
-	live := make([]liveHour, 0, w.hours)
+	// Holding every shard lock, the frame ledger is readable without
+	// frameMu and marks exactly the in-frame hours some shard holds.
+	var live []int64
 	for ah := w.startHour(end); ah <= end; ah++ {
-		slot := int(ah % int64(w.hours))
-		var refs []bucketRef
-		for _, sh := range w.shards {
-			if bk := sh.ring[slot]; bk != nil && bk.ah == ah {
-				refs = append(refs, bucketRef{sh: sh, bk: bk})
-			}
-		}
-		if len(refs) > 0 {
-			live = append(live, liveHour{ah: ah, refs: refs})
+		if w.hourLive[ah%int64(w.hours)] {
+			live = append(live, ah)
 		}
 	}
 	s.u32(uint32(len(live)))
-	for _, h := range live {
-		cc, col, records := w.hourAggregates(h.ah, h.refs)
-		s.i64(h.ah)
+	for _, ah := range live {
+		f, records := w.hourFold(ah)
+		s.i64(ah)
 		s.u64(records)
-		snapshotCounter(s, cc)
-		snapshotCollector(s, col)
+		snapshotCounter(s, f.cc)
+		snapshotCollector(s, f.col)
 	}
 	return s.err
 }
 
-// bucketRef pairs a live bucket with the shard whose intern tables its
-// IDs resolve through.
-type bucketRef struct {
-	sh *winShard
-	bk *winBucket
-}
-
-// hourAggregates converts one live hour's shard buckets into a
-// transient canonical single-day ContactCounter+Collector (the exact
-// shape the per-bucket-Collector snapshot format encoded). Lines
-// intern in sorted address order, ports in sorted (transport, port)
-// order, and the la/lp slot tables fill line-major, so the encoding is
-// independent of how rows were distributed across shards. Caller holds
-// all shard locks.
-func (w *Window) hourAggregates(ah int64, refs []bucketRef) (*ContactCounter, *Collector, uint64) {
-	cc := NewContactCounter(w.idx)
-	col := NewCollector(w.idx, []time.Time{w.epoch.Add(time.Duration(ah) * time.Hour)}, w.opts)
+// hourFold folds one live hour's shard buckets into a fresh single-day
+// fold in canonical order: lines intern in sorted address order (every
+// row into the ContactCounter, rows with a continent mask into the
+// Collector), ports in sorted (transport, port) order from the union of
+// the buckets' per-alias seen ports (scatter marks every port it gives a
+// row slot), and the la/lp slot tables are sorted line-major afterwards.
+// The result is independent of how rows were spread across shards. It
+// also returns the hour's record count. Caller holds all shard locks.
+func (w *Window) hourFold(ah int64) (*windowFold, uint64) {
+	f := w.newFoldFrame(ah, ah, 1)
 	var records uint64
-
-	// Gather every row by address, across shards.
-	type rowAt struct{ ref, row int }
-	rows := map[netip.Addr][]rowAt{}
-	addrs := []netip.Addr{}
-	for ri, ref := range refs {
-		records += ref.bk.records
-		for r := 0; r < ref.bk.nRows; r++ {
-			a := ref.sh.lines.addrs[ref.bk.lineIDs[r]]
-			if _, ok := rows[a]; !ok {
-				addrs = append(addrs, a)
-			}
-			rows[a] = append(rows[a], rowAt{ri, r})
+	var lines, colLines []netip.Addr
+	var ports []proto.PortKey
+	for _, sh := range w.shards {
+		bk := sh.bucketAt(ah)
+		if bk == nil {
+			continue
 		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-
-	// Canonical port table: the union of per-alias seen ports (which
-	// covers the row port slots — a slot only ever carries a port a
-	// scatter also marked in portSeenA), in sorted key order.
-	pset := map[proto.PortKey]struct{}{}
-	for _, ref := range refs {
+		records += bk.records
+		for r := 0; r < bk.nRows; r++ {
+			a := sh.lines.addrs[bk.lineIDs[r]]
+			lines = append(lines, a)
+			if bk.rowU8[r*bk.uw+bk.asl] != 0 {
+				colLines = append(colLines, a)
+			}
+		}
 		for a := 0; a < w.nA; a++ {
-			forEachBit(ref.bk.portSeenA[a*ref.sh.pw:(a+1)*ref.sh.pw], func(p int) {
-				pset[ref.sh.ports.keys[p]] = struct{}{}
+			forEachBit(bk.portSeenA[a*sh.pw:(a+1)*sh.pw], func(p int) {
+				ports = append(ports, sh.ports.keys[p])
 			})
 		}
 	}
-	portKeys := make([]proto.PortKey, 0, len(pset))
-	for k := range pset {
-		portKeys = append(portKeys, k)
-	}
-	sort.Slice(portKeys, func(i, j int) bool {
-		if portKeys[i].Transport != portKeys[j].Transport {
-			return portKeys[i].Transport < portKeys[j].Transport
-		}
-		return portKeys[i].Port < portKeys[j].Port
+	slices.SortFunc(lines, netip.Addr.Compare)
+	slices.SortFunc(colLines, netip.Addr.Compare)
+	slices.SortFunc(ports, func(a, b proto.PortKey) int {
+		return cmp.Or(cmp.Compare(a.Transport, b.Transport), cmp.Compare(a.Port, b.Port))
 	})
-	for _, k := range portKeys {
-		col.ports.id(k)
+	for _, a := range lines {
+		f.cc.lineID(a)
 	}
-	// Per-ref shard-port → canonical-port remap (-1 = not in this hour).
-	pmaps := make([][]int32, len(refs))
-	for ri, ref := range refs {
-		pm := make([]int32, len(ref.sh.ports.keys))
-		for i := range pm {
-			pm[i] = -1
-		}
-		for i, k := range portKeys {
-			if id, ok := ref.sh.ports.ids[k]; ok && int(id) < len(pm) {
-				pm[id] = int32(i)
-			}
-		}
-		pmaps[ri] = pm
+	for _, a := range colLines {
+		f.col.lineID(a)
 	}
-
-	mergedAlias := make([]uint64, w.aw)
-	mergedCert := make([]uint64, w.aw)
-	mergedDownA := make([]uint64, w.aw)
-	laVol := make([]float64, w.nA)
-	lpSeen := make([]uint64, (len(portKeys)+63)/64+1)
-	lpVol := make([]float64, len(portKeys))
-	for _, a := range addrs {
-		cid := cc.lineID(a)
-		dst := cc.bits[int(cid)*cc.words : (int(cid)+1)*cc.words]
-		hasCol := false
-		for _, ra := range rows[a] {
-			bk := refs[ra.ref].bk
-			forEachBit(bk.rowU64[ra.row*bk.bw:(ra.row+1)*bk.bw], func(lb int) {
-				setBit(dst, int(bk.beIDs[lb]))
-			})
-			if bk.rowU8[ra.row*bk.uw+bk.asl] != 0 {
-				hasCol = true
-			}
-		}
-		if !hasCol {
-			continue // contact evidence only — no Collector line existed
-		}
-		t := int(col.lineID(a))
-		clearBits(mergedAlias)
-		clearBits(mergedCert)
-		clearBits(mergedDownA)
-		var downV, upV float64
-		var conts, fb uint8
-		for _, ra := range rows[a] {
-			bk := refs[ra.ref].bk
-			fr := bk.rowF64[ra.row*bk.fw : (ra.row+1)*bk.fw]
-			downV += fr[0]
-			upV += fr[1]
-			conts |= bk.rowU8[ra.row*bk.uw+bk.asl]
-			fb |= bk.rowU8[ra.row*bk.uw+bk.asl+1]
-			for i := 0; i < bk.asl; i++ {
-				id := bk.rowI32[ra.row*bk.iw+i]
-				if id == 0 {
-					break
-				}
-				al := int(id) - 1
-				fl := bk.rowU8[ra.row*bk.uw+i]
-				setBit(mergedAlias, al)
-				if fl&afCert != 0 {
-					setBit(mergedCert, al)
-				}
-				if fl&afDown != 0 {
-					setBit(mergedDownA, al)
-					laVol[al] += fr[2+i]
-				}
-			}
-			for i := 0; i < bk.psl; i++ {
-				id := bk.rowI32[ra.row*bk.iw+bk.asl+i]
-				if id == 0 {
-					break
-				}
-				cp := int(pmaps[ra.ref][int(id)-1])
-				setBit(lpSeen, cp)
-				lpVol[cp] += fr[2+bk.asl+i]
-			}
-		}
-		col.lineDaily[t*2] = downV
-		col.lineDaily[t*2+1] = upV
-		col.lineConts[t] = conts
-		copy(col.lineAliasBits[t*w.aw:(t+1)*w.aw], mergedAlias)
-		copy(col.lineCertBits[t*w.aw:(t+1)*w.aw], mergedCert)
-		forEachBit(mergedAlias, func(al int) {
-			lh := grown(col.lineHours[al], (t+1)*col.hw)
-			col.lineHours[al] = lh
-			setBit(lh[t*col.hw:], 0)
-		})
-		forEachBit(mergedDownA, func(al int) {
-			col.laDaily[col.laSlotBase(t, al)] += laVol[al]
-			laVol[al] = 0
-		})
-		forEachBit(lpSeen, func(cp int) {
-			col.lpDaily[col.lpSlotBase(t, cp)] += lpVol[cp]
-			lpVol[cp] = 0
-		})
-		clearBits(lpSeen)
-		if fb&1 != 0 {
-			col.focusHoursAll = grown(col.focusHoursAll, (t+1)*col.hw)
-			setBit(col.focusHoursAll[t*col.hw:], 0)
-		}
-		if fb&2 != 0 {
-			col.focusHoursRegion = grown(col.focusHoursRegion, (t+1)*col.hw)
-			setBit(col.focusHoursRegion[t*col.hw:], 0)
-		}
-		if fb&4 != 0 {
-			col.focusHoursEU = grown(col.focusHoursEU, (t+1)*col.hw)
-			setBit(col.focusHoursEU[t*col.hw:], 0)
+	for _, k := range ports {
+		f.col.ports.id(k)
+	}
+	for si, sh := range w.shards {
+		if bk := sh.bucketAt(ah); bk != nil {
+			w.foldBucketInto(f, si, sh, bk)
 		}
 	}
-
-	for a := 0; a < w.nA; a++ {
-		var downSum, upSum float64
-		var downSeen, upSeen bool
-		for _, ref := range refs {
-			if hasBit(ref.bk.aliasSeen[:w.aw], a) {
-				downSeen = true
-				downSum += ref.bk.aliasVol[2*a]
-			}
-			if hasBit(ref.bk.aliasSeen[w.aw:], a) {
-				upSeen = true
-				upSum += ref.bk.aliasVol[2*a+1]
-			}
-		}
-		if downSeen {
-			s := analysis.NewSeries(w.idx.aliasNames[a], col.hours)
-			s.Values[0] = downSum
-			col.downHour[a] = s
-		}
-		if upSeen {
-			s := analysis.NewSeries(w.idx.aliasNames[a], col.hours)
-			s.Values[0] = upSum
-			col.upHour[a] = s
-		}
-		for ri, ref := range refs {
-			sh := ref.sh
-			forEachBit(ref.bk.portSeenA[a*sh.pw:(a+1)*sh.pw], func(p int) {
-				cp := int(pmaps[ri][p])
-				pv := grown(col.portVol[a], cp+1)
-				col.portVol[a] = pv
-				pv[cp] += ref.bk.portVolA[a*sh.pcap+p]
-				ps := grown(col.portSeen[a], cp>>6+1)
-				col.portSeen[a] = ps
-				setBit(ps, cp)
-			})
-		}
-	}
-
-	for _, ref := range refs {
-		bk := ref.bk
-		forEachBit(bk.backendSeen, func(lb int) {
-			b := int(bk.beIDs[lb])
-			bi := &w.idx.infos[b]
-			v := bk.backendVol[lb]
-			col.backendVol[b] += v
-			vs := col.visible[bi.aliasID]
-			if vs == nil {
-				vs = make([]uint64, w.idx.words)
-				col.visible[bi.aliasID] = vs
-			}
-			setBit(vs, b)
-			col.contVol[bi.cont] += v
-			setBit(col.backendSeen, b)
-		})
-		if bk.covered {
-			setBit(col.coverBits, 0)
-		}
-	}
-	if col.focusDownAll != nil {
-		for _, ref := range refs {
-			col.focusDownAll.Values[0] += ref.bk.focusAllV
-			col.focusDownRegion.Values[0] += ref.bk.focusRegionV
-			col.focusDownEU.Values[0] += ref.bk.focusEUV
-		}
-	}
-	return cc, col, records
+	f.col.sortSlots()
+	return f, records
 }
 
 // Restore reads a Snapshot-written checkpoint and rebuilds the window.
@@ -578,6 +388,11 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	stats.EvictedRecords = s.u64()
 	if s.err != nil {
 		return nil, s.err
+	}
+	// Batch rows carry int32 hours, so a live window's end never leaves
+	// [-1, MaxInt32]; past it, walking the frame would overflow.
+	if end < -1 || end > math.MaxInt32 {
+		return nil, fmt.Errorf("flows: snapshot window end hour %d outside [-1, %d]", end, math.MaxInt32)
 	}
 	w, err := NewWindow(idx, epoch, hours, opts)
 	if err != nil {
@@ -629,6 +444,15 @@ func (w *Window) restoreBucket(ah int64, records uint64, cc *ContactCounter, col
 	if old := sh.ring[slot]; old != nil {
 		sh.recycle(old)
 	}
+	// Presize from this hour's own content: the shard hints an earlier
+	// stored hour raised would otherwise inflate every later bucket, an
+	// allocation the checkpoint's bytes never paid for.
+	hints := [4]int{sh.rowHint, sh.beHint, sh.aslHint, sh.pslHint}
+	sh.rowHint, sh.beHint, sh.aslHint, sh.pslHint = 0, 0, 0, 0
+	defer func() {
+		sh.rowHint, sh.beHint = max(sh.rowHint, hints[0]), max(sh.beHint, hints[1])
+		sh.aslHint, sh.pslHint = max(sh.aslHint, hints[2]), max(sh.pslHint, hints[3])
+	}()
 	bk := sh.takeBucket(ah)
 	sh.ring[slot] = bk
 	bk.records = records
@@ -777,6 +601,23 @@ func hourZeroBit(rows []uint64, line int) bool {
 	return line < len(rows) && rows[line]&1 != 0
 }
 
+// lines reads a stored line address table, re-interning it in ID order
+// through intern (which hands out IDs in call order, so a duplicate
+// address fails the read), and returns its length.
+func (s *snapReader) lines(what string, intern func(netip.Addr) int32) int {
+	n := s.count(what + " line")
+	for i := 0; i < n && s.err == nil; i++ {
+		a := s.addr(what + " line addr")
+		if s.err != nil {
+			break
+		}
+		if id := intern(a); int(id) != i {
+			s.err = fmt.Errorf("flows: snapshot %s line %d re-interned as %d (duplicate address?)", what, i, id)
+		}
+	}
+	return n
+}
+
 // snapshotCounter encodes a ContactCounter: line addresses in ID order
 // plus the backend bitset arena.
 func snapshotCounter(s *snapWriter, cc *ContactCounter) {
@@ -792,20 +633,12 @@ func snapshotCounter(s *snapWriter, cc *ContactCounter) {
 // adopting the bitset arena.
 func restoreCounter(s *snapReader, idx *BackendIndex) *ContactCounter {
 	cc := NewContactCounter(idx)
-	n := s.count("counter line")
-	for i := 0; i < n && s.err == nil; i++ {
-		a := s.addr("counter line addr")
-		if s.err != nil {
-			break
-		}
-		if id := cc.lineID(a); int(id) != i {
-			s.err = fmt.Errorf("flows: snapshot counter line %d re-interned as %d (duplicate address?)", i, id)
-		}
-	}
+	n := s.lines("counter", cc.lineID)
 	bits := s.u64s("counter bits")
 	if s.err == nil && len(bits) != n*cc.words {
 		s.err = fmt.Errorf("flows: snapshot counter bits length %d, want %d", len(bits), n*cc.words)
 	}
+	s.noBitsPast("counter bits", bits, cc.words, len(idx.addrs))
 	if s.err != nil {
 		return nil
 	}
@@ -897,16 +730,7 @@ func snapshotSeries(s *snapWriter, ser *analysis.Series) {
 // slice replaces the grown one after a length check.
 func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Options) *Collector {
 	c := NewCollector(idx, []time.Time{day}, opts)
-	nLines := s.count("collector line")
-	for i := 0; i < nLines && s.err == nil; i++ {
-		a := s.addr("collector line addr")
-		if s.err != nil {
-			break
-		}
-		if id := c.lineID(a); int(id) != i {
-			s.err = fmt.Errorf("flows: snapshot collector line %d re-interned as %d (duplicate address?)", i, id)
-		}
-	}
+	nLines := s.lines("collector", c.lineID)
 	nPorts := s.count("collector port")
 	for i := 0; i < nPorts && s.err == nil; i++ {
 		k := proto.PortKey{Transport: proto.Transport(s.u8()), Port: s.u16()}
@@ -914,19 +738,23 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 			s.err = fmt.Errorf("flows: snapshot collector port %d re-interned as %d (duplicate key?)", i, id)
 		}
 	}
-	c.coverBits = s.fixedU64s("coverBits", len(c.coverBits))
-	c.lineDaily = s.fixedF64s("lineDaily", nLines*2*c.ds)
-	c.lineConts = s.fixedU8s("lineConts", nLines)
-	c.lineAliasBits = s.fixedU64s("lineAliasBits", nLines*c.aw)
-	c.lineCertBits = s.fixedU64s("lineCertBits", nLines*c.aw)
+	c.coverBits = fixed(s, s.u64s, "coverBits", len(c.coverBits))
+	c.lineDaily = fixed(s, s.f64s, "lineDaily", nLines*2*c.ds)
+	c.lineConts = fixed(s, s.bytes, "lineConts", nLines)
+	c.lineAliasBits = fixed(s, s.u64s, "lineAliasBits", nLines*c.aw)
+	c.lineCertBits = fixed(s, s.u64s, "lineCertBits", nLines*c.aw)
+	s.noBitsPast("lineAliasBits", c.lineAliasBits, c.aw, c.nAliases)
+	s.noBitsPast("lineCertBits", c.lineCertBits, c.aw, c.nAliases)
 
 	for a := 0; a < c.nAliases && s.err == nil; a++ {
 		c.visible[a] = s.maybeFixedU64s("visible", idx.words)
-		c.lineHours[a] = s.boundedU64s("lineHours", nLines*c.hw)
+		c.lineHours[a] = bounded(s, s.u64s, "lineHours", nLines*c.hw)
 		c.downHour[a] = restoreSeries(s, idx.aliasNames[a], c.hours)
 		c.upHour[a] = restoreSeries(s, idx.aliasNames[a], c.hours)
-		c.portVol[a] = s.boundedF64s("portVol", nPorts)
-		c.portSeen[a] = s.boundedU64s("portSeen", (nPorts+63)/64)
+		c.portVol[a] = bounded(s, s.f64s, "portVol", nPorts)
+		c.portSeen[a] = bounded(s, s.u64s, "portSeen", (nPorts+63)/64)
+		s.noBitsPast("visible", c.visible[a], idx.words, len(idx.addrs))
+		s.noBitsPast("portSeen", c.portSeen[a], len(c.portSeen[a]), nPorts)
 	}
 
 	c.laDaily = s.f64s("laDaily")
@@ -936,11 +764,12 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 	}
 	c.laKeys = make([]laKey, 0, min(nla, snapPrealloc))
 	for i := 0; i < nla && s.err == nil; i++ {
-		k := laKey{line: int32(s.u32()), alias: int32(s.u32())}
-		if int(k.line) >= nLines || int(k.alias) >= c.nAliases {
-			s.err = fmt.Errorf("flows: snapshot laKey (%d,%d) out of range", k.line, k.alias)
+		line, alias := s.u32(), s.u32()
+		if uint64(line) >= uint64(nLines) || uint64(alias) >= uint64(c.nAliases) {
+			s.err = fmt.Errorf("flows: snapshot laKey (%d,%d) out of range", line, alias)
 			break
 		}
+		k := laKey{line: int32(line), alias: int32(alias)}
 		c.laKeys = append(c.laKeys, k)
 		c.laIdx[int(k.line)*c.nAliases+int(k.alias)] = int32(i) + 1
 	}
@@ -952,11 +781,12 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 	}
 	c.lpKeys = make([]lpKey, 0, min(nlp, snapPrealloc))
 	for i := 0; i < nlp && s.err == nil; i++ {
-		k := lpKey{line: int32(s.u32()), port: int32(s.u32())}
-		if int(k.line) >= nLines || int(k.port) >= nPorts {
-			s.err = fmt.Errorf("flows: snapshot lpKey (%d,%d) out of range", k.line, k.port)
+		line, port := s.u32(), s.u32()
+		if uint64(line) >= uint64(nLines) || uint64(port) >= uint64(nPorts) {
+			s.err = fmt.Errorf("flows: snapshot lpKey (%d,%d) out of range", line, port)
 			break
 		}
+		k := lpKey{line: int32(line), port: int32(port)}
 		c.lpKeys = append(c.lpKeys, k)
 		for len(c.lpIdx) <= int(k.port) {
 			c.lpIdx = append(c.lpIdx, nil)
@@ -966,7 +796,8 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 		arr[k.line] = int32(i) + 1
 	}
 
-	c.backendSeen = s.fixedU64s("backendSeen", idx.words)
+	c.backendSeen = fixed(s, s.u64s, "backendSeen", idx.words)
+	s.noBitsPast("backendSeen", c.backendSeen, idx.words, len(idx.addrs))
 	if s.err == nil {
 		forEachBit(c.backendSeen, func(b int) { c.backendVol[b] = s.f64() })
 	}
@@ -988,9 +819,9 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 		c.focusDownAll = restoreSeriesInto(s, c.focusDownAll)
 		c.focusDownRegion = restoreSeriesInto(s, c.focusDownRegion)
 		c.focusDownEU = restoreSeriesInto(s, c.focusDownEU)
-		c.focusHoursAll = s.boundedU64s("focusHoursAll", nLines*c.hw)
-		c.focusHoursRegion = s.boundedU64s("focusHoursRegion", nLines*c.hw)
-		c.focusHoursEU = s.boundedU64s("focusHoursEU", nLines*c.hw)
+		c.focusHoursAll = bounded(s, s.u64s, "focusHoursAll", nLines*c.hw)
+		c.focusHoursRegion = bounded(s, s.u64s, "focusHoursRegion", nLines*c.hw)
+		c.focusHoursEU = bounded(s, s.u64s, "focusHoursEU", nLines*c.hw)
 	}
 	if s.err != nil {
 		return nil
@@ -998,29 +829,30 @@ func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Opti
 	return c
 }
 
-// fixedU64s reads a slice that must have exactly n elements.
-func (s *snapReader) fixedU64s(what string, n int) []uint64 {
-	v := s.u64s(what)
+// fixed reads a slice that must have exactly n elements.
+func fixed[T any](s *snapReader, read func(string) []T, what string, n int) []T {
+	v := read(what)
 	if s.err == nil && len(v) != n {
 		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
 	}
 	return v
 }
 
-func (s *snapReader) fixedF64s(what string, n int) []float64 {
-	v := s.f64s(what)
-	if s.err == nil && len(v) != n {
-		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
+// noBitsPast fails the read when any stride of a bitset arena has a
+// bit set at or past n: padding that a decoder would otherwise follow
+// as an out-of-range ID.
+func (s *snapReader) noBitsPast(what string, bits []uint64, stride, n int) {
+	for base := 0; s.err == nil && base < len(bits); base += stride {
+		for i := n >> 6; i < stride && base+i < len(bits); i++ {
+			w := bits[base+i]
+			if i == n>>6 {
+				w >>= uint(n & 63)
+			}
+			if w != 0 {
+				s.err = fmt.Errorf("flows: snapshot %s has a bit set past %d", what, n)
+			}
+		}
 	}
-	return v
-}
-
-func (s *snapReader) fixedU8s(what string, n int) []uint8 {
-	v := s.u8s(what)
-	if s.err == nil && len(v) != n {
-		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
-	}
-	return v
 }
 
 // maybeFixedU64s reads a slice that is either empty (stored nil) or
@@ -1036,21 +868,10 @@ func (s *snapReader) maybeFixedU64s(what string, n int) []uint64 {
 	return v
 }
 
-// boundedU64s reads a slice that may be any length up to max (grown
-// slices stop at the highest touched ID).
-func (s *snapReader) boundedU64s(what string, max int) []uint64 {
-	v := s.u64s(what)
-	if len(v) == 0 {
-		return nil
-	}
-	if s.err == nil && len(v) > max {
-		s.err = fmt.Errorf("flows: snapshot %s length %d exceeds %d", what, len(v), max)
-	}
-	return v
-}
-
-func (s *snapReader) boundedF64s(what string, max int) []float64 {
-	v := s.f64s(what)
+// bounded reads a slice that may be any length up to max (grown slices
+// stop at the highest touched ID); empty reads as nil.
+func bounded[T any](s *snapReader, read func(string) []T, what string, max int) []T {
+	v := read(what)
 	if len(v) == 0 {
 		return nil
 	}

@@ -95,6 +95,12 @@ var (
 // any additional ingest parallelism.
 const maxWindowShards = 8
 
+// maxWindowHours caps a window's span. The dictionary wire format
+// carries a row's hour in a u16 column, so no feed addresses an hour
+// past 65,535; a longer ring is only memory that a snapshot header's
+// hours field could demand before Restore has read a single bucket.
+const maxWindowHours = math.MaxUint16
+
 // Window is an hour-granular sliding study over the dense aggregation
 // core. It is safe for concurrent use: many collector streams may
 // flush into one Window (each stream lands on one ingest shard) while
@@ -271,13 +277,17 @@ type BucketStat struct {
 
 // NewWindow builds a sliding window of `hours` trailing hours over idx,
 // with hour 0 anchored at epoch. hours must be a positive multiple of
-// 24 (study frames are day-granular). opts follows NewShardPartial
-// semantics; when the window is fed by a wire collector (whose streams
-// pre-scale counters at the stream boundary) opts.SamplingRate must be
-// 1, exactly as the collector forces on its own partials.
+// 24 (study frames are day-granular) no larger than maxWindowHours.
+// opts follows NewShardPartial semantics; when the window is fed by a
+// wire collector (whose streams pre-scale counters at the stream
+// boundary) opts.SamplingRate must be 1, exactly as the collector
+// forces on its own partials.
 func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Window, error) {
 	if hours <= 0 || hours%24 != 0 {
 		return nil, fmt.Errorf("flows: window hours must be a positive multiple of 24, got %d", hours)
+	}
+	if hours > maxWindowHours {
+		return nil, fmt.Errorf("flows: window of %d hours exceeds the %d-hour limit", hours, maxWindowHours)
 	}
 	idx.ensureBuilt()
 	threshold := opts.ScannerThreshold
@@ -959,9 +969,9 @@ type winStudyCache struct {
 	st  *Study
 }
 
-// newFoldFrame builds an empty fold over the frame [ws, ws+hours).
-func (w *Window) newFoldFrame(ws, end int64) *windowFold {
-	days := make([]time.Time, w.hours/24)
+// newFoldFrame builds an empty fold over the nDays-day frame from ws.
+func (w *Window) newFoldFrame(ws, end int64, nDays int) *windowFold {
+	days := make([]time.Time, nDays)
 	start := w.epoch.Add(time.Duration(ws) * time.Hour)
 	for i := range days {
 		days[i] = start.Add(time.Duration(i) * 24 * time.Hour)
@@ -1004,6 +1014,15 @@ func (w *Window) dirtySince(lo, hi int64, ver uint64) bool {
 		}
 	}
 	return false
+}
+
+// bucketAt returns the shard's bucket for hour ah, or nil if the ring
+// slot is empty or holds another lap's hour.
+func (sh *winShard) bucketAt(ah int64) *winBucket {
+	if bk := sh.ring[ah%int64(len(sh.ring))]; bk != nil && bk.ah == ah {
+		return bk
+	}
+	return nil
 }
 
 // foldRange folds every live bucket with hour in [lo, hi) into f.
@@ -1181,7 +1200,7 @@ func (w *Window) currentFoldLocked() *windowFold {
 		st.end = end
 		st.ver = ver
 	default:
-		st = w.newFoldFrame(ws, end)
+		st = w.newFoldFrame(ws, end, w.hours/24)
 		w.foldRange(st, ws, end)
 		st.ver = ver
 		w.stable = st

@@ -353,10 +353,20 @@ func (s Suite) Compile(w *world.World) ([]Compiled, error) {
 		return nil, fmt.Errorf("scenario: world has no study days")
 	}
 	var out []Compiled
+	// OriginAt applies the first listed migration whose cutover has
+	// passed, so a second migration of one provider would be silently
+	// ignored in the Section 6.2 impacts.
+	migrated := map[string]string{} // provider → step migrating it
 	for i, st := range s.Steps {
 		name := st.Name
 		if name == "" {
 			name = fmt.Sprintf("step%d", i)
+		}
+		if m := st.Migration; m != nil {
+			if prev, dup := migrated[m.Provider]; dup {
+				return nil, fmt.Errorf("scenario: step %q migrates provider %q again (step %q already does)", name, m.Provider, prev)
+			}
+			migrated[m.Provider] = name
 		}
 		c, err := s.compileSteps(w, s.Name+"/"+name, name, []Step{st})
 		if err != nil {

@@ -19,8 +19,10 @@ func TestCompileRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		w    *world.World
-		step Step
-		want string
+		// before lists valid steps the suite runs ahead of step.
+		before []Step
+		step   Step
+		want   string
 	}{
 		{
 			name: "empty step",
@@ -63,6 +65,12 @@ func TestCompileRejects(t *testing.T) {
 			want: "cutover hour -5 outside study",
 		},
 		{
+			name:   "two migrations of one provider",
+			before: []Step{{Name: "first", Migration: &Migration{Provider: "bosch", ToASN: MigrationTargetASN, AtHour: 10}}},
+			step:   Step{Name: "second", Migration: &Migration{Provider: "bosch", ToASN: MigrationTargetASN + 1, AtHour: 40}},
+			want:   `migrates provider "bosch" again (step "first" already does)`,
+		},
+		{
 			name: "no study days",
 			w:    &world.World{},
 			step: Step{Name: "any", Migration: &Migration{Provider: "bosch"}},
@@ -75,7 +83,7 @@ func TestCompileRejects(t *testing.T) {
 			if tc.w != nil {
 				cw = tc.w
 			}
-			suite := Suite{Name: "bad", Seed: 1, Steps: []Step{tc.step}}
+			suite := Suite{Name: "bad", Seed: 1, Steps: append(append([]Step(nil), tc.before...), tc.step)}
 			out, err := suite.Compile(cw)
 			if err == nil {
 				t.Fatalf("Compile accepted the suite (%d scenarios)", len(out))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -331,5 +333,78 @@ func TestAttachDialReconnects(t *testing.T) {
 	}
 	if stats.Wire.BatchRecords == 0 {
 		t.Fatalf("reconnected feed ingested nothing: %+v", stats.Wire)
+	}
+}
+
+// TestRestoreRefusesWindowSpanChange: a daemon restarted with a
+// different window span refuses the checkpoint, naming both spans,
+// instead of silently serving the checkpoint's span.
+func TestRestoreRefusesWindowSpanChange(t *testing.T) {
+	f := buildFixture(t)
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := f.service(t, ckpt).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Index: f.idx, Days: f.days, Opts: f.opts,
+		Policy: collector.DropFrame, CheckpointPath: ckpt, WindowHours: 48})
+	whole := fmt.Sprintf("%d-hour", len(f.days)*24)
+	if err == nil || !strings.Contains(err.Error(), whole) || !strings.Contains(err.Error(), "48 hours") {
+		t.Fatalf("restore under -window 48 of a %s checkpoint: err %v", whole, err)
+	}
+	if s := f.service(t, ckpt); !s.Restored {
+		t.Fatal("restore under the checkpoint's own span did not restore")
+	}
+}
+
+// TestStreamsReadWhileSettling: GET /streams is served while feeds
+// settle. Under -race this pins that the handler encodes copies taken
+// under the registry lock, not the entries settle rewrites under it.
+func TestStreamsReadWhileSettling(t *testing.T) {
+	f := buildFixture(t)
+	s := f.service(t, "")
+	junk := filepath.Join(t.TempDir(), "junk.nf")
+	if err := os.WriteFile(junk, []byte("not a framed stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	streams := func() []Feed {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/streams", nil))
+		var out struct {
+			Feeds []Feed `json:"feeds"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Error(err)
+		}
+		return out.Feeds
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				streams()
+			}
+		}
+	}()
+	const feeds = 16
+	for i := 0; i < feeds; i++ {
+		if _, err := s.AttachFile(junk, fmt.Sprintf("junk-%d", i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.wg.Wait()
+	close(stop)
+	<-stopped
+	got := streams()
+	if len(got) != feeds {
+		t.Fatalf("/streams lists %d feeds, want %d", len(got), feeds)
+	}
+	for _, fd := range got {
+		if fd.Status == "running" {
+			t.Fatalf("feed %d still running after its ingest returned", fd.ID)
+		}
 	}
 }

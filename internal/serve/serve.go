@@ -158,6 +158,10 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		if win != nil {
+			if win.Hours() != cfg.WindowHours {
+				return nil, fmt.Errorf("serve: checkpoint %s holds a %d-hour window, but the service is configured for %d hours",
+					from, win.Hours(), cfg.WindowHours)
+			}
 			s.win, dicts = win, ds
 			s.Restored = true
 			s.RestoredFrom = from
@@ -489,10 +493,12 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStreams(w http.ResponseWriter, r *http.Request) {
+	// Copy the entries under the lock: settle rewrites Status and Error
+	// while feeds run, and the encoder reads them after the lock drops.
 	s.mu.Lock()
-	feeds := make([]*Feed, 0, len(s.feeds))
+	feeds := make([]Feed, 0, len(s.feeds))
 	for _, f := range s.feeds {
-		feeds = append(feeds, f)
+		feeds = append(feeds, *f)
 	}
 	s.mu.Unlock()
 	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
@@ -674,6 +680,14 @@ func decodeAttach(w http.ResponseWriter, r *http.Request) (attachReq, bool) {
 	return req, true
 }
 
+// feedCopy returns a registry entry as it stands, read under the lock
+// settle writes it under.
+func (s *Service) feedCopy(f *Feed) Feed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return *f
+}
+
 func (s *Service) handleAttachFile(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeAttach(w, r)
 	if !ok {
@@ -688,7 +702,7 @@ func (s *Service) handleAttachFile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, f)
+	writeJSON(w, s.feedCopy(f))
 }
 
 func (s *Service) handleAttachDial(w http.ResponseWriter, r *http.Request) {
@@ -705,7 +719,7 @@ func (s *Service) handleAttachDial(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, f)
+	writeJSON(w, s.feedCopy(f))
 }
 
 func (s *Service) handleDetach(w http.ResponseWriter, r *http.Request) {
